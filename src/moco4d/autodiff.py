@@ -334,109 +334,145 @@ def forward_diff(x, axis):
 
 
 # -- 3-D convolution --------------------------------------------------------------
+#
+# One channels-last kernel serves the forward pass and both VJPs. The input is
+# padded once (and, for stride 2, up to even extents), laid out as
+# [B, Dp, Hp, Wp, C] and split into its stride**3 parity sub-volumes, each
+# flattened to rows of C channels: `rows` is [stride**3, B, N, C] over a
+# sub-volume grid (Dg, Hg, Wg) with N = Dg*Hg*Wg. Output voxel (d, h, w) is
+# row r = d*Hg*Wg + h*Wg + w of that grid, and tap (i, j, l) reads sub-volume
+# (i%s, j%s, l%s) at row r + off with off = (i//s)*Hg*Wg + (j//s)*Wg + l//s,
+# so every tap is a contiguous row window. Rows with h >= Ho or w >= Wo are
+# computed and discarded (forward) or carry a zero gradient (VJPs).
 
-def _pad_spatial(x, p):
-    if p == 0:
-        return x
-    pads = ((0, 0),) * (x.ndim - 3) + ((p, p), (p, p), (p, p))
-    return np.pad(x, pads)
-
-
-def _tap_slices(start, douts, stride):
-    i, j, l = start
-    return (slice(i, i + (douts[0] - 1) * stride + 1, stride),
-            slice(j, j + (douts[1] - 1) * stride + 1, stride),
-            slice(l, l + (douts[2] - 1) * stride + 1, stride))
-
-
-_SMALL_CONV_VOXELS = 1024
+_CONV_CHUNK_ROWS = 4096
 
 
-def _windows(xp, ks, outs, stride):
-    win = np.lib.stride_tricks.sliding_window_view(xp, (ks, ks, ks), axis=(2, 3, 4))
-    if stride > 1:
-        win = win[:, :, ::stride, ::stride, ::stride]
-    return win  # [B, C, d', h', w', ks, ks, ks]
+class _ConvGrid:
+    """Row geometry of one conv3d call on the channels-last parity layout."""
+
+    def __init__(self, spatial, ks, stride, padding):
+        padded = [n + 2 * padding for n in spatial]
+        self.grid = [-(-n // stride) for n in padded]  # Dg, Hg, Wg
+        self.outs = [(n - ks) // stride + 1 for n in padded]  # Do, Ho, Wo
+        self.spatial, self.stride, self.padding = tuple(spatial), stride, padding
+        _, hg, wg = self.grid
+        do, ho, wo = self.outs
+        self.rows = self.grid[0] * hg * wg
+        # rows [0, m) hold every output voxel; each tap window stays inside N
+        self.m = (do - 1) * hg * wg + (ho - 1) * wg + wo
+        s = stride
+        self.taps = [((i % s) * s * s + (j % s) * s + l % s,
+                      (i // s) * hg * wg + (j // s) * wg + l // s)
+                     for i in range(ks) for j in range(ks) for l in range(ks)]
+
+    def to_rows(self, xb):
+        """[B, C, D, H, W] -> zero-padded parity rows [stride**3, B, N, C]."""
+        nb, c = xb.shape[:2]
+        s, p = self.stride, self.padding
+        d, h, w = self.spatial
+        dg, hg, wg = self.grid
+        xp = np.zeros((nb, dg * s, hg * s, wg * s, c), dtype=xb.dtype)
+        xp[:, p:p + d, p:p + h, p:p + w] = xb.transpose(0, 2, 3, 4, 1)
+        xp = xp.reshape(nb, dg, s, hg, s, wg, s, c).transpose(2, 4, 6, 0, 1, 3, 5, 7)
+        return np.ascontiguousarray(xp).reshape(s ** 3, nb, self.rows, c)
+
+    def from_rows(self, rows):
+        """Adjoint of `to_rows`: parity rows -> [B, C, D, H, W]."""
+        _, nb, _, c = rows.shape
+        s, p = self.stride, self.padding
+        d, h, w = self.spatial
+        dg, hg, wg = self.grid
+        xp = rows.reshape(s, s, s, nb, dg, hg, wg, c).transpose(3, 4, 0, 5, 1, 6, 2, 7)
+        xp = xp.reshape(nb, dg * s, hg * s, wg * s, c)
+        return np.ascontiguousarray(
+            xp[:, p:p + d, p:p + h, p:p + w].transpose(0, 4, 1, 2, 3))
+
+    def out_rows(self, g):
+        """[B, C_out, Do, Ho, Wo] -> rows [B, N, C_out], zero off the output."""
+        nb, c = g.shape[:2]
+        do, ho, wo = self.outs
+        gr = np.zeros((nb, *self.grid, c), dtype=g.dtype)
+        gr[:, :do, :ho, :wo] = g.transpose(0, 2, 3, 4, 1)
+        return gr.reshape(nb, self.rows, c)
+
+    def chunks(self):
+        # chunks restart at every batch entry, so identical entries compute
+        # bit-identically whatever the batch holds
+        for r0 in range(0, self.m, _CONV_CHUNK_ROWS):
+            yield r0, min(r0 + _CONV_CHUNK_ROWS, self.m)
 
 
-def _conv3d_fwd(x, k, stride, padding):
-    """Correlation over the 3 trailing axes; x is [C,D,H,W] or [B,C,D,H,W].
+def _tap_kernels(k, dtype):
+    """[C_out, C_in, ks, ks, ks] -> one [C_in, C_out] matrix per tap."""
+    cout, cin = k.shape[:2]
+    return np.ascontiguousarray(k.transpose(2, 3, 4, 1, 0).reshape(-1, cin, cout),
+                                dtype=dtype)
 
-    Accumulates channels-last (one large GEMM per tap via tensordot) and
-    transposes once at the end; small outputs take a single windowed call.
+
+def _conv3d_fwd(xb, k, geo):
+    """Correlation of xb [B, C_in, D, H, W] with k; returns [B, C_out, Do, Ho, Wo].
+
+    Each batch entry runs in row chunks; a chunk accumulates one
+    [m, C_in] x [C_in, C_out] GEMM per tap over that tap's row window.
     """
-    batched = x.ndim == 5
-    xb = x if batched else x[None]
+    nb, cout = xb.shape[0], k.shape[0]
+    rows = geo.to_rows(xb)
+    kt = _tap_kernels(k, xb.dtype)
+    do, ho, wo = geo.outs
+    _, hg, wg = geo.grid
+    y = np.empty((nb, do * hg * wg, cout), dtype=xb.dtype)
+    tmp = np.empty((_CONV_CHUNK_ROWS, cout), dtype=xb.dtype)
+    for b in range(nb):
+        for r0, r1 in geo.chunks():
+            acc, t = y[b, r0:r1], tmp[:r1 - r0]
+            for n, (s, off) in enumerate(geo.taps):
+                win = rows[s, b, r0 + off:r1 + off]
+                if n == 0:
+                    np.matmul(win, kt[n], out=acc)
+                else:
+                    np.matmul(win, kt[n], out=t)
+                    acc += t
+    y = y.reshape(nb, do, hg, wg, cout)[:, :, :ho, :wo]
+    return y.transpose(0, 4, 1, 2, 3)
+
+
+def _conv3d_input_grad(gr, k, geo):
+    """Adjoint of `_conv3d_fwd` in its input, from output-gradient rows."""
+    nb, cin = gr.shape[0], k.shape[1]
+    kt = _tap_kernels(k, gr.dtype).transpose(0, 2, 1).copy()  # [taps, C_out, C_in]
+    gx = np.zeros((geo.stride ** 3, nb, geo.rows, cin), dtype=gr.dtype)
+    tmp = np.empty((_CONV_CHUNK_ROWS, cin), dtype=gr.dtype)
+    for b in range(nb):
+        for r0, r1 in geo.chunks():
+            g, t = gr[b, r0:r1], tmp[:r1 - r0]
+            for n, (s, off) in enumerate(geo.taps):
+                np.matmul(g, kt[n], out=t)
+                gx[s, b, r0 + off:r1 + off] += t
+    return geo.from_rows(gx)
+
+
+def _conv3d_kernel_grad(xb, gr, k_shape, geo):
+    """Gradient in the kernel: per row chunk, one [C_in, m] x [m, C_out] GEMM
+    per tap.
+
+    Batch entries are concatenated along the rows: the rows a window reads
+    past its own entry's output meet a zero gradient.
+    """
     nb = xb.shape[0]
-    cout, ks = k.shape[0], k.shape[2]
-    xp = _pad_spatial(xb, padding)
-    outs = [(xb.shape[2 + a] + 2 * padding - ks) // stride + 1 for a in range(3)]
-    if outs[0] * outs[1] * outs[2] <= _SMALL_CONV_VOXELS:
-        win = _windows(xp, ks, outs, stride)
-        y = np.tensordot(win, k, axes=([1, 5, 6, 7], [1, 2, 3, 4]))
-    else:
-        y = np.zeros((nb, *outs, cout), dtype=x.dtype)
-        for i in range(ks):
-            for j in range(ks):
-                for l in range(ks):
-                    sl = _tap_slices((i, j, l), outs, stride)
-                    xv = xp[(slice(None), slice(None)) + sl]
-                    y += np.tensordot(xv, k[:, :, i, j, l], axes=(1, 1))
-    y = np.moveaxis(y, -1, 1)
-    return y if batched else y[0]
-
-
-def _conv3d_input_grad(gy, k, stride, padding, spatial):
-    """Adjoint of `_conv3d_fwd` in its input argument."""
-    batched = gy.ndim == 5
-    gyb = gy if batched else gy[None]
-    nb = gyb.shape[0]
-    cin, ks = k.shape[1], k.shape[2]
-    douts = gyb.shape[2:]
-    gxp = np.zeros((nb,
-                    spatial[0] + 2 * padding,
-                    spatial[1] + 2 * padding,
-                    spatial[2] + 2 * padding, cin), dtype=gy.dtype)
-    if douts[0] * douts[1] * douts[2] <= _SMALL_CONV_VOXELS:
-        big = np.tensordot(gyb, k, axes=(1, 0))  # [B,d',h',w',cin,ks,ks,ks]
-        for i in range(ks):
-            for j in range(ks):
-                for l in range(ks):
-                    sl = _tap_slices((i, j, l), douts, stride)
-                    gxp[(slice(None),) + sl + (slice(None),)] += big[..., i, j, l]
-    else:
-        for i in range(ks):
-            for j in range(ks):
-                for l in range(ks):
-                    contrib = np.tensordot(gyb, k[:, :, i, j, l], axes=(1, 0))
-                    sl = _tap_slices((i, j, l), douts, stride)
-                    gxp[(slice(None),) + sl + (slice(None),)] += contrib
-    gx = np.moveaxis(gxp, -1, 1)
-    if padding:
-        gx = gx[:, :, padding:padding + spatial[0],
-                padding:padding + spatial[1],
-                padding:padding + spatial[2]]
-    return np.ascontiguousarray(gx) if batched else np.ascontiguousarray(gx[0])
-
-
-def _conv3d_kernel_grad(x, gy, stride, padding, ks):
-    batched = x.ndim == 5
-    xb = x if batched else x[None]
-    gyb = gy if batched else gy[None]
-    cout, cin = gyb.shape[1], xb.shape[1]
-    xp = _pad_spatial(xb, padding)
-    douts = gyb.shape[2:]
-    if douts[0] * douts[1] * douts[2] <= _SMALL_CONV_VOXELS:
-        win = _windows(xp, ks, douts, stride)
-        return np.tensordot(gyb, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-    gk = np.empty((cout, cin, ks, ks, ks), dtype=gy.dtype)
-    for i in range(ks):
-        for j in range(ks):
-            for l in range(ks):
-                sl = _tap_slices((i, j, l), douts, stride)
-                xv = xp[(slice(None), slice(None)) + sl]
-                gk[:, :, i, j, l] = np.tensordot(gyb, xv, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-    return gk
+    cout, cin, ks = k_shape[:3]
+    rows = geo.to_rows(xb).reshape(geo.stride ** 3, -1, cin)
+    span = (nb - 1) * geo.rows + geo.m
+    gflat = gr.reshape(-1, cout)
+    gk = np.zeros((len(geo.taps), cin, cout), dtype=gr.dtype)
+    tmp = np.empty((cin, cout), dtype=gr.dtype)
+    for r0 in range(0, span, _CONV_CHUNK_ROWS):
+        r1 = min(r0 + _CONV_CHUNK_ROWS, span)
+        g = gflat[r0:r1]
+        for n, (s, off) in enumerate(geo.taps):
+            np.matmul(rows[s, r0 + off:r1 + off].T, g, out=tmp)
+            gk[n] += tmp
+    return np.ascontiguousarray(gk.reshape(ks, ks, ks, cin, cout).transpose(4, 3, 0, 1, 2))
 
 
 def conv3d(x, kernels, bias, stride=1, padding=1):
@@ -444,6 +480,13 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
 
     A leading batch axis is accepted ([B,C_in,D,H,W]). Kernel spatial extent
     must be 1 or 3, stride 1 or 2, padding 0 or 1.
+
+    All three passes run on one channels-last layout (see the comment above
+    `_ConvGrid`): the input is padded once and split into stride**3 parity
+    sub-volumes flattened to rows, each kernel tap is a contiguous row window
+    at a fixed offset, and every batch entry is processed in its own row
+    chunks of `_CONV_CHUNK_ROWS`. The input and kernel gradients are only
+    computed for operands that require a gradient.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     k = kernels.data
@@ -459,56 +502,31 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
         raise DimensionError(f"conv3d: stride {stride}, padding {padding} unsupported")
     if not _finite(x.data):
         raise NumericError("conv3d: non-finite input")
-    ks = k.shape[2]
-    spatial = x.data.shape[-3:]
-    bshape = (-1, 1, 1, 1) if x.data.ndim == 4 else (1, -1, 1, 1, 1)
-    spatial_axes = (1, 2, 3) if x.data.ndim == 4 else (0, 2, 3, 4)
+    batched = x.data.ndim == 5
+    geo = _ConvGrid(x.data.shape[-3:], k.shape[2], stride, padding)
+
+    def batch(a):
+        return a if batched else a[None]
 
     def fwd():
-        return _conv3d_fwd(x.data, kernels.data, stride, padding) \
-            + bias.data.reshape(bshape)
+        y = _conv3d_fwd(batch(x.data), kernels.data, geo)
+        y = y + bias.data.reshape(1, -1, 1, 1, 1)
+        return y if batched else y[0]
 
     def vjp(g):
-        gx = _conv3d_input_grad(g, kernels.data, stride, padding, spatial)
-        gk = _conv3d_kernel_grad(x.data, g, stride, padding, ks)
-        gb = g.sum(axis=spatial_axes, dtype=np.float64).astype(g.dtype)
+        g5 = batch(g)
+        gr = geo.out_rows(g5)
+        gx = gk = gb = None
+        if x.requires_grad:
+            gx = _conv3d_input_grad(gr, kernels.data, geo)
+            gx = gx if batched else gx[0]
+        if kernels.requires_grad:
+            gk = _conv3d_kernel_grad(batch(x.data), gr, k.shape, geo)
+        if bias.requires_grad:
+            gb = g5.sum(axis=(0, 2, 3, 4), dtype=np.float64).astype(g.dtype)
         return gx, gk, gb
 
     return _node(fwd(), [x, kernels, bias], vjp, fwd, "conv3d")
-
-
-def conv3d_transpose(x, kernels, bias, stride=2):
-    """Adjoint of stride-2 `conv3d` (plus bias): doubles each spatial extent.
-
-    `kernels` has the same [C_out, C_in, k, k, k] layout as the matching
-    forward convolution, so x carries C_out channels and the result C_in.
-    """
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    k = kernels.data
-    if stride != 2:
-        raise DimensionError("conv3d_transpose: only stride 2 is supported")
-    if x.data.ndim != 4 or k.ndim != 5:
-        raise DimensionError("conv3d_transpose: bad ranks")
-    if k.shape[0] != x.data.shape[0]:
-        raise DimensionError(f"conv3d_transpose: {k.shape[0]} vs {x.data.shape[0]} channels")
-    if bias.data.shape != (k.shape[1],):
-        raise DimensionError("conv3d_transpose: bias shape mismatch")
-    if not _finite(x.data):
-        raise NumericError("conv3d_transpose: non-finite input")
-    ks = k.shape[2]
-    out_spatial = tuple(2 * s for s in x.data.shape[1:])
-
-    def fwd():
-        return _conv3d_input_grad(x.data, kernels.data, 2, 1, out_spatial) \
-            + bias.data[:, None, None, None]
-
-    def vjp(g):
-        gx = _conv3d_fwd(g, kernels.data, 2, 1)
-        gk = _conv3d_kernel_grad(g, x.data, 2, 1, ks)
-        gb = g.sum(axis=(1, 2, 3), dtype=np.float64).astype(g.dtype)
-        return gx, gk, gb
-
-    return _node(fwd(), [x, kernels, bias], vjp, fwd, "conv3d_transpose")
 
 
 # -- sliding window sums (for windowed NCC) ---------------------------------------
@@ -566,14 +584,19 @@ def _resize_axis(x, n_out, axis):
     return x.take(i0, axis=axis) * (1.0 - f) + x.take(i1, axis=axis) * f
 
 
+def _resize_matrix(n_out, n_in):
+    """Dense [n_out, n_in] interpolation matrix of `_resize_axis`."""
+    i0, i1, f = _resize_coords(n_out, n_in)
+    a = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    a[rows, i0] += 1.0 - f
+    a[rows, i1] += f
+    return a
+
+
 def _resize_axis_adjoint(g, n_in, axis):
-    i0, i1, f = _resize_coords(g.shape[axis], n_in)
-    g0 = np.moveaxis(g, axis, 0)
-    out = np.zeros((n_in,) + g0.shape[1:], dtype=g.dtype)
-    fb = f.reshape((-1,) + (1,) * (g0.ndim - 1)).astype(g.dtype)
-    np.add.at(out, i0, g0 * (1.0 - fb))
-    np.add.at(out, i1, g0 * fb)
-    return np.moveaxis(out, 0, axis)
+    a = _resize_matrix(g.shape[axis], n_in).astype(g.dtype)
+    return np.moveaxis(np.tensordot(g, a, axes=(axis, 0)), -1, axis)
 
 
 def _resize_spatial(x, out_spatial):
@@ -662,15 +685,21 @@ def warp(volume, field):
     def vjp(g):
         vol, fld = volume.data, field.data
         terms, _ = _warp_terms(vol, fld)
-        gvol = np.zeros_like(vol)
-        gfield = np.zeros_like(fld)
-        for izc, iyc, ixc, m, wz, wy, wx, a, b, c in terms:
-            vals = vol[izc, iyc, ixc] * m
-            np.add.at(gvol, (izc, iyc, ixc), (g * wz * wy * wx * m).astype(vol.dtype))
-            gv = g * vals
-            gfield[0] += ((1.0 if a else -1.0) * gv * wy * wx).astype(fld.dtype)
-            gfield[1] += ((1.0 if b else -1.0) * gv * wz * wx).astype(fld.dtype)
-            gfield[2] += ((1.0 if c else -1.0) * gv * wz * wy).astype(fld.dtype)
+        gvol = gfield = None
+        if volume.requires_grad:
+            # scatter-add of every corner's weighted gradient, on flat indices
+            flat = [((izc * vol.shape[1] + iyc) * vol.shape[2] + ixc).ravel()
+                    for izc, iyc, ixc, *_ in terms]
+            wts = [(g * wz * wy * wx * m).ravel() for _, _, _, m, wz, wy, wx, *_ in terms]
+            gvol = np.bincount(np.concatenate(flat), weights=np.concatenate(wts),
+                               minlength=vol.size).reshape(vol.shape).astype(vol.dtype)
+        if field.requires_grad:
+            gfield = np.zeros_like(fld)
+            for izc, iyc, ixc, m, wz, wy, wx, a, b, c in terms:
+                gv = g * (vol[izc, iyc, ixc] * m)
+                gfield[0] += ((1.0 if a else -1.0) * gv * wy * wx).astype(fld.dtype)
+                gfield[1] += ((1.0 if b else -1.0) * gv * wz * wx).astype(fld.dtype)
+                gfield[2] += ((1.0 if c else -1.0) * gv * wz * wy).astype(fld.dtype)
         return gvol, gfield
 
     return _node(_warp_fwd(volume.data, field.data), [volume, field], vjp,
@@ -683,7 +712,8 @@ def backward(tape, loss):
     """Accumulate gradients of a scalar loss over the tape.
 
     Returns a dict mapping parameter name -> gradient array for every named
-    leaf tensor with requires_grad that the loss depends on.
+    leaf tensor with requires_grad that the loss depends on. A vjp may return
+    None for a parent that does not require a gradient.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward: loss must be scalar, got shape {loss.data.shape}")
