@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, TapeReplayError
+from .errors import DimensionError, NumericError
 
 _TAPES: list["Tape"] = []
 
@@ -37,15 +37,6 @@ class Tape:
         _TAPES.pop()
         return False
 
-    def replay(self):
-        """Re-run every recorded primitive and verify bit-identical outputs."""
-        for node in self.nodes:
-            if node.fwd is None:
-                continue
-            redo = node.fwd()
-            if redo.shape != node.data.shape or not np.array_equal(redo, node.data):
-                raise TapeReplayError(f"tape replay mismatch at node {node.op!r}")
-
 
 def _active_tape():
     return _TAPES[-1] if _TAPES else None
@@ -54,16 +45,15 @@ def _active_tape():
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode accumulation."""
 
-    __slots__ = ("data", "parents", "vjp", "name", "requires_grad", "fwd", "op")
+    __slots__ = ("data", "parents", "vjp", "name", "requires_grad", "op")
 
     def __init__(self, data, parents=(), vjp=None, name=None, requires_grad=False,
-                 fwd=None, op=None):
+                 op=None):
         self.data = np.asarray(data)
         self.parents = parents
         self.vjp = vjp
         self.name = name
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self.fwd = fwd
         self.op = op
         tape = _active_tape()
         if tape is not None and parents:
@@ -132,8 +122,8 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def _node(data, parents, vjp, fwd, op):
-    return Tensor(data, parents=tuple(parents), vjp=vjp, fwd=fwd, op=op)
+def _node(data, parents, vjp, op):
+    return Tensor(data, parents=tuple(parents), vjp=vjp, op=op)
 
 
 # -- arithmetic primitives -----------------------------------------------------
@@ -142,25 +132,22 @@ def add(a, b):
     if not isinstance(b, Tensor):
         a = _as_tensor(a)
         c = float(b)
-        return _node(a.data + c, [a], lambda g: (g,), lambda: a.data + c, "add_scalar")
+        return _node(a.data + c, [a], lambda g: (g,), "add_scalar")
     a = _as_tensor(a)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
-    return _node(a.data + b.data, [a, b], lambda g: (g, g),
-                 lambda: a.data + b.data, "add")
+    return _node(a.data + b.data, [a, b], lambda g: (g, g), "add")
 
 
 def mul(a, b):
     if not isinstance(b, Tensor):
         a = _as_tensor(a)
         c = float(b)
-        return _node(a.data * c, [a], lambda g: (g * c,), lambda: a.data * c, "mul_scalar")
+        return _node(a.data * c, [a], lambda g: (g * c,), "mul_scalar")
     a = _as_tensor(a)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
-    return _node(a.data * b.data, [a, b],
-                 lambda g: (g * b.data, g * a.data),
-                 lambda: a.data * b.data, "mul")
+    return _node(a.data * b.data, [a, b], lambda g: (g * b.data, g * a.data), "mul")
 
 
 def div(a, b):
@@ -174,13 +161,12 @@ def div(a, b):
     def vjp(g):
         return g / b.data, -g * out / b.data
 
-    return _node(out, [a, b], vjp, lambda: a.data / b.data, "div")
+    return _node(out, [a, b], vjp, "div")
 
 
 def square(a):
     a = _as_tensor(a)
-    return _node(a.data * a.data, [a], lambda g: (2.0 * g * a.data,),
-                 lambda: a.data * a.data, "square")
+    return _node(a.data * a.data, [a], lambda g: (2.0 * g * a.data,), "square")
 
 
 def sum_all(a):
@@ -191,7 +177,7 @@ def sum_all(a):
     def vjp(g):
         return (np.full(a.data.shape, float(g), dtype=a.data.dtype),)
 
-    return _node(out, [a], vjp, lambda: np.asarray(a.data.sum(dtype=np.float64)), "sum")
+    return _node(out, [a], vjp, "sum")
 
 
 def mean_all(a):
@@ -202,8 +188,7 @@ def mean_all(a):
     def vjp(g):
         return (np.full(a.data.shape, float(g) / n, dtype=a.data.dtype),)
 
-    return _node(out, [a], vjp,
-                 lambda: np.asarray(a.data.sum(dtype=np.float64) / n), "mean")
+    return _node(out, [a], vjp, "mean")
 
 
 # -- activations ----------------------------------------------------------------
@@ -215,7 +200,7 @@ def sigmoid(x):
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return _node(out, [x], vjp, lambda: 1.0 / (1.0 + np.exp(-x.data)), "sigmoid")
+    return _node(out, [x], vjp, "sigmoid")
 
 
 def tanh(x):
@@ -225,7 +210,7 @@ def tanh(x):
     def vjp(g):
         return (g * (1.0 - out * out),)
 
-    return _node(out, [x], vjp, lambda: np.tanh(x.data), "tanh")
+    return _node(out, [x], vjp, "tanh")
 
 
 def leaky_relu(x, slope=0.2):
@@ -235,8 +220,7 @@ def leaky_relu(x, slope=0.2):
     def vjp(g):
         return (g * np.where(x.data > 0, 1.0, slope).astype(g.dtype),)
 
-    return _node(out, [x], vjp,
-                 lambda: np.where(x.data > 0, x.data, slope * x.data), "leaky_relu")
+    return _node(out, [x], vjp, "leaky_relu")
 
 
 # -- shape ops -------------------------------------------------------------------
@@ -249,8 +233,7 @@ def reshape(x, shape):
     def vjp(g):
         return (g.reshape(in_shape),)
 
-    return _node(x.data.reshape(shape), [x], vjp,
-                 lambda: x.data.reshape(shape), "reshape")
+    return _node(x.data.reshape(shape), [x], vjp, "reshape")
 
 
 def concat_channels(parts):
@@ -264,8 +247,7 @@ def concat_channels(parts):
     def vjp(g):
         return tuple(g[idx + (slice(offs[i], offs[i + 1]),)] for i in range(len(parts)))
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, vjp,
-                 lambda: np.concatenate([p.data for p in parts], axis=axis), "concat")
+    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, vjp, "concat")
 
 
 def stack_frames(parts):
@@ -275,8 +257,7 @@ def stack_frames(parts):
     def vjp(g):
         return tuple(g[i] for i in range(len(parts)))
 
-    return _node(np.stack([p.data for p in parts], axis=0), parts, vjp,
-                 lambda: np.stack([p.data for p in parts], axis=0), "stack")
+    return _node(np.stack([p.data for p in parts], axis=0), parts, vjp, "stack")
 
 
 def select_frame(x, i):
@@ -289,7 +270,7 @@ def select_frame(x, i):
         gx[i] = g
         return (gx,)
 
-    return _node(x.data[i], [x], vjp, lambda: x.data[i], "select")
+    return _node(x.data[i], [x], vjp, "select")
 
 
 def matvec(m, x):
@@ -302,35 +283,27 @@ def matvec(m, x):
     def vjp(g):
         return np.outer(g, x.data), m.data.T @ g
 
-    return _node(m.data @ x.data, [m, x], vjp, lambda: m.data @ x.data, "matvec")
+    return _node(m.data @ x.data, [m, x], vjp, "matvec")
 
 
 def forward_diff(x, axis):
     """Forward difference along `axis`, zero at the far boundary."""
     x = _as_tensor(x)
-
-    def fwd():
-        d = np.zeros_like(x.data)
-        sl_hi = [slice(None)] * x.data.ndim
-        sl_lo = [slice(None)] * x.data.ndim
-        sl_out = [slice(None)] * x.data.ndim
-        sl_hi[axis] = slice(1, None)
-        sl_lo[axis] = slice(None, -1)
-        sl_out[axis] = slice(None, -1)
-        d[tuple(sl_out)] = x.data[tuple(sl_hi)] - x.data[tuple(sl_lo)]
-        return d
+    sl_hi = [slice(None)] * x.data.ndim
+    sl_lo = [slice(None)] * x.data.ndim
+    sl_hi[axis] = slice(1, None)
+    sl_lo[axis] = slice(None, -1)
+    sl_hi, sl_lo = tuple(sl_hi), tuple(sl_lo)
+    d = np.zeros_like(x.data)
+    d[sl_lo] = x.data[sl_hi] - x.data[sl_lo]
 
     def vjp(g):
         gx = np.zeros_like(g)
-        sl_hi = [slice(None)] * g.ndim
-        sl_lo = [slice(None)] * g.ndim
-        sl_hi[axis] = slice(1, None)
-        sl_lo[axis] = slice(None, -1)
-        gx[tuple(sl_hi)] += g[tuple(sl_lo)]
-        gx[tuple(sl_lo)] -= g[tuple(sl_lo)]
+        gx[sl_hi] += g[sl_lo]
+        gx[sl_lo] -= g[sl_lo]
         return (gx,)
 
-    return _node(fwd(), [x], vjp, fwd, "forward_diff")
+    return _node(d, [x], vjp, "forward_diff")
 
 
 # -- 3-D convolution --------------------------------------------------------------
@@ -508,11 +481,6 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
     def batch(a):
         return a if batched else a[None]
 
-    def fwd():
-        y = _conv3d_fwd(batch(x.data), kernels.data, geo)
-        y = y + bias.data.reshape(1, -1, 1, 1, 1)
-        return y if batched else y[0]
-
     def vjp(g):
         g5 = batch(g)
         gr = geo.out_rows(g5)
@@ -526,7 +494,8 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
             gb = g5.sum(axis=(0, 2, 3, 4), dtype=np.float64).astype(g.dtype)
         return gx, gk, gb
 
-    return _node(fwd(), [x, kernels, bias], vjp, fwd, "conv3d")
+    y = _conv3d_fwd(batch(x.data), k, geo) + bias.data.reshape(1, -1, 1, 1, 1)
+    return _node(y if batched else y[0], [x, kernels, bias], vjp, "conv3d")
 
 
 # -- sliding window sums (for windowed NCC) ---------------------------------------
@@ -560,8 +529,7 @@ def box_sum(x, window):
     def vjp(g):
         return (_box_sum(g, window),)
 
-    return _node(_box_sum(x.data, window), [x], vjp,
-                 lambda: _box_sum(x.data, window), "box_sum")
+    return _node(_box_sum(x.data, window), [x], vjp, "box_sum")
 
 
 # -- trilinear resize ---------------------------------------------------------------
@@ -628,8 +596,7 @@ def interp_resize(x, out_spatial):
                 out = _resize_axis_adjoint(out, in_spatial[a], axis)
         return (out,)
 
-    return _node(_resize_spatial(x.data, out_spatial), [x], vjp,
-                 lambda: _resize_spatial(x.data, out_spatial), "interp_resize")
+    return _node(_resize_spatial(x.data, out_spatial), [x], vjp, "interp_resize")
 
 
 # -- warp (backward/pull trilinear resampling) ---------------------------------------
@@ -702,8 +669,7 @@ def warp(volume, field):
                 gfield[2] += ((1.0 if c else -1.0) * gv * wz * wy).astype(fld.dtype)
         return gvol, gfield
 
-    return _node(_warp_fwd(volume.data, field.data), [volume, field], vjp,
-                 lambda: _warp_fwd(volume.data, field.data), "warp")
+    return _node(_warp_fwd(volume.data, field.data), [volume, field], vjp, "warp")
 
 
 # -- backward pass --------------------------------------------------------------------
@@ -728,7 +694,7 @@ def backward(tape, loss):
             if not parent.requires_grad:
                 continue
             if pg.shape != parent.data.shape:
-                raise TapeReplayError(
+                raise DimensionError(
                     f"gradient shape {pg.shape} != parameter shape {parent.data.shape}")
             if id(parent) in grads:
                 grads[id(parent)] = grads[id(parent)] + pg

@@ -9,8 +9,14 @@ Gate algebra (per time step, with zero-padded 3-D convolutions):
     o = sigmoid(W_o * x + U_o * h_prev + b_o)
     h = o . tanh(c)
 
-No peephole terms. The dense cell replaces convolutions with matrix-vector
-products over a flattened feature vector.
+No peephole terms. All four gates come from one packed kernel
+K = [[W_i U_i], [W_f U_f], [W_c U_c], [W_o U_o]] of shape
+[4*hidden, in_channels + hidden, k, k, k] and one bias [4*hidden]: row block
+g holds gate g (order i, f, c, o), and the columns read x first, then h. A
+step is one convolution of concat[x, h_prev] with K, whose output splits
+into the four gate pre-activations. The dense cell keeps the same row
+blocks in two matrices, W [4*hidden, features] and U [4*hidden, hidden],
+over a flattened feature vector.
 """
 
 from __future__ import annotations
@@ -27,30 +33,21 @@ GATES = ("i", "f", "c", "o")
 
 @dataclass
 class ConvLstmParams:
-    """Input-to-state (W) and state-to-state (U) kernels plus per-gate biases."""
+    """Packed gate kernel k [4h, c + h, k, k, k] and bias b [4h]."""
 
-    w: dict  # gate -> Tensor [hidden, in_channels, k, k, k]
-    u: dict  # gate -> Tensor [hidden, hidden, k, k, k]
-    b: dict  # gate -> Tensor [hidden]
+    k: ad.Tensor
+    b: ad.Tensor
 
     @property
     def hidden(self):
-        return self.w["i"].shape[0]
+        return self.k.shape[0] // 4
 
     @property
     def in_channels(self):
-        return self.w["i"].shape[1]
+        return self.k.shape[1] - self.hidden
 
     def named(self):
-        out = {}
-        for g in GATES:
-            out[self.w[g].name] = self.w[g]
-            out[self.u[g].name] = self.u[g]
-            out[self.b[g].name] = self.b[g]
-        return out
-
-    def count(self):
-        return sum(t.size for t in self.named().values())
+        return {self.k.name: self.k, self.b.name: self.b}
 
 
 @dataclass
@@ -61,63 +58,59 @@ class ConvLstmState:
 
 @dataclass
 class DenseLstmParams:
-    """Fully connected gate transitions over a flattened bottleneck vector."""
+    """Input matrix w [4h, features], state matrix u [4h, h], bias b [4h]."""
 
-    w: dict  # gate -> Tensor [hidden, features]
-    u: dict  # gate -> Tensor [hidden, hidden]
-    b: dict  # gate -> Tensor [hidden]
+    w: ad.Tensor
+    u: ad.Tensor
+    b: ad.Tensor
 
     @property
     def hidden(self):
-        return self.w["i"].shape[0]
+        return self.u.shape[1]
 
     @property
     def features(self):
-        return self.w["i"].shape[1]
+        return self.w.shape[1]
 
     def named(self):
-        out = {}
-        for g in GATES:
-            out[self.w[g].name] = self.w[g]
-            out[self.u[g].name] = self.u[g]
-            out[self.b[g].name] = self.b[g]
-        return out
+        return {t.name: t for t in (self.w, self.u, self.b)}
 
-    def count(self):
-        return sum(t.size for t in self.named().values())
+
+def _gate_bias(hidden, forget_bias, dtype):
+    b = np.zeros(4 * hidden, dtype=dtype)
+    b[hidden:2 * hidden] = forget_bias
+    return b
 
 
 def init_convlstm_params(rng, in_channels, hidden, kernel=3, forget_bias=1.0,
                          dtype=np.float32, prefix="convlstm"):
-    """Uniform +-sqrt(1/fan_in) kernels; forget-gate bias starts at `forget_bias`."""
-    w, u, b = {}, {}, {}
-    for g in GATES:
-        lim_w = float(np.sqrt(1.0 / (in_channels * kernel ** 3)))
-        lim_u = float(np.sqrt(1.0 / (hidden * kernel ** 3)))
-        w[g] = ad.param(f"{prefix}.w_{g}",
-                        rng.uniform(-lim_w, lim_w,
-                                    (hidden, in_channels, kernel, kernel, kernel)).astype(dtype))
-        u[g] = ad.param(f"{prefix}.u_{g}",
-                        rng.uniform(-lim_u, lim_u,
-                                    (hidden, hidden, kernel, kernel, kernel)).astype(dtype))
-        init_b = np.full(hidden, forget_bias if g == "f" else 0.0, dtype=dtype)
-        b[g] = ad.param(f"{prefix}.b_{g}", init_b)
-    return ConvLstmParams(w, u, b)
+    """Uniform +-sqrt(1/fan_in) kernels; forget-gate bias starts at `forget_bias`.
+
+    Draws per gate, W then U, and writes each into its block of the packed
+    kernel."""
+    k = np.empty((4 * hidden, in_channels + hidden, kernel, kernel, kernel), dtype=dtype)
+    lim_w = float(np.sqrt(1.0 / (in_channels * kernel ** 3)))
+    lim_u = float(np.sqrt(1.0 / (hidden * kernel ** 3)))
+    for g in range(len(GATES)):
+        rows = slice(g * hidden, (g + 1) * hidden)
+        k[rows, :in_channels] = rng.uniform(-lim_w, lim_w, k[rows, :in_channels].shape)
+        k[rows, in_channels:] = rng.uniform(-lim_u, lim_u, k[rows, in_channels:].shape)
+    return ConvLstmParams(ad.param(f"{prefix}.k", k),
+                          ad.param(f"{prefix}.b", _gate_bias(hidden, forget_bias, dtype)))
 
 
 def init_dense_lstm_params(rng, features, hidden, forget_bias=1.0,
                            dtype=np.float32, prefix="blstm"):
-    w, u, b = {}, {}, {}
+    w = np.empty((4 * hidden, features), dtype=dtype)
+    u = np.empty((4 * hidden, hidden), dtype=dtype)
     lim_w = float(np.sqrt(1.0 / features))
     lim_u = float(np.sqrt(1.0 / hidden))
-    for g in GATES:
-        w[g] = ad.param(f"{prefix}.w_{g}",
-                        rng.uniform(-lim_w, lim_w, (hidden, features)).astype(dtype))
-        u[g] = ad.param(f"{prefix}.u_{g}",
-                        rng.uniform(-lim_u, lim_u, (hidden, hidden)).astype(dtype))
-        init_b = np.full(hidden, forget_bias if g == "f" else 0.0, dtype=dtype)
-        b[g] = ad.param(f"{prefix}.b_{g}", init_b)
-    return DenseLstmParams(w, u, b)
+    for g in range(len(GATES)):
+        rows = slice(g * hidden, (g + 1) * hidden)
+        w[rows] = rng.uniform(-lim_w, lim_w, (hidden, features))
+        u[rows] = rng.uniform(-lim_u, lim_u, (hidden, hidden))
+    return DenseLstmParams(ad.param(f"{prefix}.w", w), ad.param(f"{prefix}.u", u),
+                           ad.param(f"{prefix}.b", _gate_bias(hidden, forget_bias, dtype)))
 
 
 def zero_state(hidden, spatial, dtype=np.float32):
@@ -126,11 +119,15 @@ def zero_state(hidden, spatial, dtype=np.float32):
                          ad.constant(np.zeros(shape, dtype=dtype)))
 
 
-def _gate_pre(p, g, x_t, h_prev):
-    wx = ad.conv3d(x_t, p.w[g], p.b[g], stride=1, padding=(p.w[g].shape[2] // 2))
-    uh = ad.conv3d(h_prev, p.u[g], ad.constant(np.zeros(p.hidden, dtype=h_prev.dtype)),
-                   stride=1, padding=(p.u[g].shape[2] // 2))
-    return ad.add(wx, uh)
+def _lstm_update(pre, c_prev):
+    """Gate algebra on stacked pre-activations [4, hidden, ...] (i, f, c, o)."""
+    i = ad.sigmoid(ad.select_frame(pre, 0))
+    f = ad.sigmoid(ad.select_frame(pre, 1))
+    c_hat = ad.tanh(ad.select_frame(pre, 2))
+    c = ad.add(ad.mul(i, c_hat), ad.mul(f, c_prev))
+    o = ad.sigmoid(ad.select_frame(pre, 3))
+    h = ad.mul(o, ad.tanh(c))
+    return ConvLstmState(h, c)
 
 
 def convlstm_step(p: ConvLstmParams, x_t, prev: ConvLstmState) -> ConvLstmState:
@@ -141,13 +138,9 @@ def convlstm_step(p: ConvLstmParams, x_t, prev: ConvLstmState) -> ConvLstmState:
     if prev.h.shape != (p.hidden, *x_t.shape[1:]):
         raise DimensionError(f"convlstm_step: state shape {prev.h.shape} does not match "
                              f"hidden {p.hidden} over {x_t.shape[1:]}")
-    i = ad.sigmoid(_gate_pre(p, "i", x_t, prev.h))
-    f = ad.sigmoid(_gate_pre(p, "f", x_t, prev.h))
-    c_hat = ad.tanh(_gate_pre(p, "c", x_t, prev.h))
-    c = ad.add(ad.mul(i, c_hat), ad.mul(f, prev.c))
-    o = ad.sigmoid(_gate_pre(p, "o", x_t, prev.h))
-    h = ad.mul(o, ad.tanh(c))
-    return ConvLstmState(h, c)
+    pre = ad.conv3d(ad.concat_channels([x_t, prev.h]), p.k, p.b, stride=1,
+                    padding=p.k.shape[2] // 2)
+    return _lstm_update(ad.reshape(pre, (4, p.hidden, *x_t.shape[1:])), prev.c)
 
 
 def convlstm_unroll(p: ConvLstmParams, x_seq, init: ConvLstmState):
@@ -168,14 +161,5 @@ def dense_lstm_step(p: DenseLstmParams, x_t, prev: ConvLstmState) -> ConvLstmSta
         raise DimensionError(f"dense_lstm_step: input {x_t.shape}, expected ({p.features},)")
     if prev.h.shape != (p.hidden,):
         raise DimensionError(f"dense_lstm_step: state {prev.h.shape}, expected ({p.hidden},)")
-
-    def pre(g):
-        return ad.add(ad.add(ad.matvec(p.w[g], x_t), ad.matvec(p.u[g], prev.h)), p.b[g])
-
-    i = ad.sigmoid(pre("i"))
-    f = ad.sigmoid(pre("f"))
-    c_hat = ad.tanh(pre("c"))
-    c = ad.add(ad.mul(i, c_hat), ad.mul(f, prev.c))
-    o = ad.sigmoid(pre("o"))
-    h = ad.mul(o, ad.tanh(c))
-    return ConvLstmState(h, c)
+    pre = ad.add(ad.add(ad.matvec(p.w, x_t), ad.matvec(p.u, prev.h)), p.b)
+    return _lstm_update(ad.reshape(pre, (4, p.hidden)), prev.c)

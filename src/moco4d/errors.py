@@ -12,10 +12,3 @@ class NumericError(ArithmeticError):
 class ConfigurationError(ValueError):
     """Invalid or inconsistent configuration values."""
 
-
-class FormatError(ValueError):
-    """Malformed on-disk container or sidecar header."""
-
-
-class TapeReplayError(RuntimeError):
-    """Replaying a gradient tape did not reproduce the recorded forward values."""

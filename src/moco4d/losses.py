@@ -80,22 +80,14 @@ def smoothness(field):
     return ad.mul(total, 1.0 / (9.0 * nvox))
 
 
-def total_loss(reference, warped_list, fields, cfg: LossConfig):
-    """Sum over frames of -local_ncc(reference, warped) + lambda * smoothness."""
+def loss_terms(reference, warped_list, fields, cfg: LossConfig):
+    """(total, similarity_sum, smoothness_sum) with total built on the graph.
+
+    The total sums -local_ncc(reference, warped) + lambda * smoothness(field)
+    over frames; `warped_list` and `fields` pair up one to one."""
     if len(warped_list) != len(fields):
         raise DimensionError(
-            f"total_loss: {len(warped_list)} warped frames vs {len(fields)} fields")
-    loss = None
-    for warped, field in zip(warped_list, fields):
-        term = ad.mul(local_ncc(reference, warped, cfg), -1.0)
-        if cfg.lam != 0.0:
-            term = ad.add(term, ad.mul(smoothness(field), cfg.lam))
-        loss = term if loss is None else ad.add(loss, term)
-    return loss
-
-
-def loss_terms(reference, warped_list, fields, cfg: LossConfig):
-    """(total, similarity_sum, smoothness_sum) with total built on the graph."""
+            f"loss_terms: {len(warped_list)} warped frames vs {len(fields)} fields")
     sim = 0.0
     smo = 0.0
     loss = None

@@ -17,7 +17,11 @@ Layout (channels):
 Upsampling is parameter-free trilinear interpolation. Variants differ at the
 bottleneck (recurrent cell over the frame window, or a flattened dense LSTM
 with a 1->32 channel-restore conv) or serially before the flow head
-(conv 16->16 + ConvLSTM 16->32, with a 32->3 flow conv).
+(conv 16->16 + ConvLSTM 16->32, with a 32->3 flow conv). Recurrent cells:
+
+    bcell  ConvLSTM 32->32, one conv 64->128 on concat[x, h] per step
+    scell  ConvLSTM 16->32, one conv 48->128 on concat[x, h] per step
+    blstm  dense LSTM over the flattened bottleneck, hidden = voxel count
 """
 
 from __future__ import annotations

@@ -16,6 +16,9 @@ from .errors import ConfigurationError, DimensionError
 from .series import FrameSeries
 
 F18_HALF_LIFE_MIN = 109.77
+# a voxel whose mean activity past t* is at most this fraction of the series
+# maximum is background and flagged degenerate
+ACTIVITY_FLOOR = 1e-6
 
 
 @dataclass
@@ -44,37 +47,6 @@ class InputFunction:
 
 
 @dataclass
-class TimeActivityCurve:
-    mid_times: np.ndarray
-    activities: np.ndarray
-    durations: np.ndarray
-
-    def __post_init__(self):
-        self.mid_times = np.asarray(self.mid_times, dtype=np.float64)
-        self.activities = np.asarray(self.activities, dtype=np.float64)
-        self.durations = np.asarray(self.durations, dtype=np.float64)
-        if not np.all(np.diff(self.mid_times) > 0):
-            raise DimensionError("TAC times must be increasing")
-
-
-@dataclass
-class FitWeights:
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if np.any(self.w <= 0):
-            raise ConfigurationError("fit weights must be positive")
-
-
-@dataclass
-class PatlakFit:
-    ki: float
-    vb: float
-    degenerate: bool = False
-
-
-@dataclass
 class ParametricMaps:
     """Voxel-wise Ki (1/min), Vb (unitless), NFE (unitless), degenerate mask."""
 
@@ -84,10 +56,10 @@ class ParametricMaps:
     degenerate: np.ndarray
 
 
-def decay_weights(mid_times, durations, half_life=F18_HALF_LIFE_MIN) -> FitWeights:
+def decay_weights(mid_times, durations, half_life=F18_HALF_LIFE_MIN) -> np.ndarray:
     """Frame weights: duration times the physical-decay factor at mid-time."""
     lam = np.log(2.0) / half_life
-    return FitWeights(np.asarray(durations) * np.exp(-lam * np.asarray(mid_times)))
+    return np.asarray(durations, dtype=np.float64) * np.exp(-lam * np.asarray(mid_times))
 
 
 def cumulative_input(ifn: InputFunction, t):
@@ -106,71 +78,35 @@ def cumulative_input(ifn: InputFunction, t):
     return float(out) if np.isscalar(t) else out
 
 
-def _design(ifn, mid_times, t_star):
-    sel = mid_times >= t_star
-    if sel.sum() < 2:
-        raise ConfigurationError(f"need >= 2 frames past t*={t_star}")
-    x1 = cumulative_input(ifn, mid_times[sel])
-    x2 = ifn.at(mid_times[sel])
-    if np.any(x2 <= 0):
-        raise ConfigurationError("input function must be positive at fitted frames")
-    return sel, x1, x2
-
-
-def patlak_fit(tac: TimeActivityCurve, ifn: InputFunction, t_star, w: FitWeights) -> PatlakFit:
-    """Weighted least squares of C_T = Ki * cumulative(C_P) + Vb * C_P over the
-    frames past t*; singular systems fall back to the pure-vascular ratio."""
-    sel, x1, x2 = _design(ifn, tac.mid_times, t_star)
-    y = tac.activities[sel]
-    wv = w.w if len(w.w) == sel.sum() else w.w[sel]
-    a11 = np.sum(wv * x1 * x1)
-    a12 = np.sum(wv * x1 * x2)
-    a22 = np.sum(wv * x2 * x2)
-    b1 = np.sum(wv * x1 * y)
-    b2 = np.sum(wv * x2 * y)
-    det = a11 * a22 - a12 * a12
-    if abs(det) <= 1e-12 * max(a11 * a22, 1e-300):
-        vb = b2 / a22 if a22 > 0 else 0.0
-        return PatlakFit(0.0, float(vb), degenerate=True)
-    ki = (b1 * a22 - b2 * a12) / det
-    vb = (a11 * b2 - a12 * b1) / det
-    return PatlakFit(float(ki), float(vb))
-
-
-def nfe(tac: TimeActivityCurve, fitted: PatlakFit, ifn: InputFunction, w: FitWeights,
-        t_star) -> float:
-    """Normalized weighted mean fitting error; NaN when all activities vanish."""
-    sel, x1, x2 = _design(ifn, tac.mid_times, t_star)
-    y = tac.activities[sel]
-    wv = w.w if len(w.w) == sel.sum() else w.w[sel]
-    n = sel.sum()
-    y_hat = fitted.ki * x1 + fitted.vb * x2
-    num = np.sum(wv * (y_hat - y) ** 2)
-    den = (n - 2) * np.sum((wv * y / n) ** 2)
-    if den == 0.0:
-        return float("nan")
-    return float(num / den)
-
-
 def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
-                    weights: FitWeights | None = None,
-                    activity_floor=1e-6) -> ParametricMaps:
+                    weights=None) -> ParametricMaps:
     """Per-voxel fit + NFE over a series; degenerate voxels (air/background or
     singular fits) are flagged, never aborting the volume.
 
-    The fit is vectorized: the design matrix is shared by all voxels, only the
-    right-hand side varies."""
+    `weights` holds one positive weight per frame, or per frame past t*; it
+    defaults to `decay_weights`. The fit is vectorized: the design matrix is
+    shared by all voxels, only the right-hand side varies. A single
+    time-activity curve is a 1-voxel series."""
     sel = series.mid_times >= t_star
-    if sel.sum() < 3:
+    n = int(sel.sum())
+    if n < 3:
         raise ConfigurationError(f"need >= 3 frames past t*={t_star} for NFE")
     if weights is None:
         weights = decay_weights(series.mid_times[sel], series.durations[sel])
-    _sel2, x1, x2 = _design(ifn, series.mid_times, t_star)
-    wv = weights.w if len(weights.w) == sel.sum() else weights.w[sel]
+    wv = np.asarray(weights, dtype=np.float64)
+    if wv.shape not in ((n,), (series.frames,)):
+        raise DimensionError(f"fit weights {wv.shape} for {series.frames} frames, "
+                             f"{n} past t*={t_star}")
+    if np.any(wv <= 0):
+        raise ConfigurationError("fit weights must be positive")
+    wv = wv if len(wv) == n else wv[sel]
+    x1 = cumulative_input(ifn, series.mid_times[sel])
+    x2 = ifn.at(series.mid_times[sel])
+    if np.any(x2 <= 0):
+        raise ConfigurationError("input function must be positive at fitted frames")
 
     grid = series.grid
-    y = series.data[sel].reshape(sel.sum(), -1).astype(np.float64)  # [n, V]
-    n = sel.sum()
+    y = series.data[sel].reshape(n, -1).astype(np.float64)  # [n, V]
 
     a11 = np.sum(wv * x1 * x1)
     a12 = np.sum(wv * x1 * x2)
@@ -180,7 +116,7 @@ def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
     det = a11 * a22 - a12 * a12
 
     mean_act = y.mean(axis=0)
-    degenerate = mean_act <= activity_floor * max(float(series.data.max()), 1e-300)
+    degenerate = mean_act <= ACTIVITY_FLOOR * max(float(series.data.max()), 1e-300)
     if abs(det) <= 1e-12 * max(a11 * a22, 1e-300):
         degenerate[:] = True
         ki = np.zeros_like(mean_act)

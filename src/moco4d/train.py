@@ -19,7 +19,6 @@ from .warping import DisplacementField, resample_field, warp
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-4
-    batch_size: int = 1            # one window per optimizer step
     epochs: int = 1
     lam: float = 1.0
     seed: int = 0
@@ -32,8 +31,6 @@ class TrainConfig:
     ncc_epsilon: float = 1e-5
 
     def __post_init__(self):
-        if self.batch_size != 1:
-            raise ConfigurationError("batch size is fixed at 1")
         if self.learning_rate <= 0 or self.downsample_factor < 1 or self.cutoff <= 0:
             raise ConfigurationError("learning_rate, downsample_factor, cutoff must be positive")
         if self.noise_sigma < 0:

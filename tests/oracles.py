@@ -99,17 +99,29 @@ def pearson_naive(a, b):
     return num / den
 
 
-def mann_whitney_auc(scores, labels):
-    """AUC as the tie-aware normalized Mann-Whitney U count."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                wins += 1.0
-            elif p == n:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
+def patlak_wls_scalar(cum, cp, y, w):
+    """Weighted least squares of y = Ki * cum + Vb * cp over the fitted frames.
+
+    Returns (ki, vb, degenerate); singular systems fall back to the
+    pure-vascular ratio.
+    """
+    a11 = np.sum(w * cum * cum)
+    a12 = np.sum(w * cum * cp)
+    a22 = np.sum(w * cp * cp)
+    b1 = np.sum(w * cum * y)
+    b2 = np.sum(w * cp * y)
+    det = a11 * a22 - a12 * a12
+    if abs(det) <= 1e-12 * max(a11 * a22, 1e-300):
+        return 0.0, float(b2 / a22 if a22 > 0 else 0.0), True
+    return float((b1 * a22 - b2 * a12) / det), float((a11 * b2 - a12 * b1) / det), False
+
+
+def patlak_nfe_scalar(cum, cp, y, w, ki, vb):
+    """Normalized weighted mean fitting error of a fixed line, with the (n - 2)
+    degrees-of-freedom denominator; NaN when all activities vanish."""
+    n = len(y)
+    num = np.sum(w * (ki * cum + vb * cp - y) ** 2)
+    den = (n - 2) * np.sum((w * y / n) ** 2)
+    if den == 0.0:
+        return float("nan")
+    return float(num / den)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moco4d import autodiff as ad
-from moco4d.errors import DimensionError, NumericError, TapeReplayError
+from moco4d.errors import DimensionError, NumericError
 
 from oracles import conv3d_naive
 
@@ -197,22 +197,13 @@ class TestBackward:
         with pytest.raises(DimensionError):
             ad.backward(tape, y)
 
-    def test_tape_replay_bit_identical(self):
-        x = ad.param("x", np.random.default_rng(2).normal(size=(2, 3, 3, 3)))
-        k = ad.param("k", np.random.default_rng(3).normal(size=(2, 2, 3, 3, 3)))
+    def test_gradient_shape_mismatch_rejected(self):
+        x = ad.param("x", np.ones(3))
         with ad.Tape() as tape:
-            y = ad.conv3d(x, k, ad.constant(np.zeros(2)))
-            ad.mean_all(ad.sigmoid(y))
-        tape.replay()  # must not raise
-
-    def test_tape_replay_detects_mutation(self):
-        x = ad.param("x", np.ones((2, 2)))
-        with ad.Tape() as tape:
-            y = ad.mul(x, 3.0)
-            ad.sum_all(y)
-        y.data[0, 0] = 99.0
-        with pytest.raises(TapeReplayError):
-            tape.replay()
+            bad = ad.Tensor(np.ones(3), parents=(x,), vjp=lambda g: (np.ones(2),), op="bad")
+            loss = ad.sum_all(bad)
+        with pytest.raises(DimensionError):
+            ad.backward(tape, loss)
 
 
 class TestGradCheck:

@@ -14,19 +14,63 @@ def random_params(rng, cin, hidden, kernel=3, dtype=np.float64, prefix="cell"):
     p = cl.init_convlstm_params(rng, cin, hidden, kernel=kernel, dtype=dtype,
                                 prefix=prefix)
     # randomize biases too so trivial cases don't hide bugs
-    for g in cl.GATES:
-        p.b[g].data[:] = rng.normal(size=hidden)
+    p.b.data[:] = rng.normal(size=4 * hidden)
     return p
 
 
 def zero_params(cin, hidden, kernel=3):
     rng = np.random.default_rng(0)
     p = cl.init_convlstm_params(rng, cin, hidden, kernel=kernel, dtype=np.float64)
-    for g in cl.GATES:
-        p.w[g].data[:] = 0.0
-        p.u[g].data[:] = 0.0
-        p.b[g].data[:] = 0.0
+    p.k.data[:] = 0.0
+    p.b.data[:] = 0.0
     return p
+
+
+def gate_rows(hidden):
+    return {g: slice(n * hidden, (n + 1) * hidden) for n, g in enumerate(cl.GATES)}
+
+
+def gate_slices(p):
+    """Per-gate (w, u, b) dicts cut from the packed kernel, for the scalar oracle."""
+    c = p.in_channels
+    rows = gate_rows(p.hidden)
+    return ({g: p.k.data[r, :c] for g, r in rows.items()},
+            {g: p.k.data[r, c:] for g, r in rows.items()},
+            {g: p.b.data[r] for g, r in rows.items()})
+
+
+class TestInit:
+    def test_conv_cell_packs_per_gate_draws(self):
+        cin, hid, ks = 3, 2, 3
+        p = cl.init_convlstm_params(np.random.default_rng(4), cin, hid, kernel=ks,
+                                    forget_bias=0.7, dtype=np.float32, prefix="scell")
+        assert sorted(p.named()) == ["scell.b", "scell.k"]
+        assert p.k.shape == (4 * hid, cin + hid, ks, ks, ks)
+        assert (p.in_channels, p.hidden) == (cin, hid)
+        # per gate i, f, c, o: W then U, each at its own fan-in limit
+        rng = np.random.default_rng(4)
+        lim_w, lim_u = np.sqrt(1.0 / (cin * ks ** 3)), np.sqrt(1.0 / (hid * ks ** 3))
+        for r in gate_rows(hid).values():
+            w = rng.uniform(-lim_w, lim_w, (hid, cin, ks, ks, ks)).astype(np.float32)
+            u = rng.uniform(-lim_u, lim_u, (hid, hid, ks, ks, ks)).astype(np.float32)
+            np.testing.assert_array_equal(p.k.data[r, :cin], w)
+            np.testing.assert_array_equal(p.k.data[r, cin:], u)
+        np.testing.assert_array_equal(
+            p.b.data, np.array([0.0, 0.0, 0.7, 0.7, 0.0, 0.0, 0.0, 0.0], dtype=np.float32))
+
+    def test_dense_cell_packs_per_gate_draws(self):
+        feat, hid = 5, 3
+        p = cl.init_dense_lstm_params(np.random.default_rng(5), feat, hid,
+                                      forget_bias=0.7, dtype=np.float64)
+        assert sorted(p.named()) == ["blstm.b", "blstm.u", "blstm.w"]
+        assert (p.features, p.hidden) == (feat, hid)
+        rng = np.random.default_rng(5)
+        for r in gate_rows(hid).values():
+            np.testing.assert_array_equal(
+                p.w.data[r], rng.uniform(-np.sqrt(1.0 / feat), np.sqrt(1.0 / feat), (hid, feat)))
+            np.testing.assert_array_equal(
+                p.u.data[r], rng.uniform(-np.sqrt(1.0 / hid), np.sqrt(1.0 / hid), (hid, hid)))
+        np.testing.assert_array_equal(p.b.data, np.repeat([0.0, 0.7, 0.0, 0.0], hid))
 
 
 class TestStep:
@@ -57,9 +101,7 @@ class TestStep:
         c0 = rng.normal(size=(2, 3, 3, 3))
         st = cl.convlstm_step(p, ad.constant(x),
                               cl.ConvLstmState(ad.constant(h0), ad.constant(c0)))
-        w = {g: p.w[g].data for g in cl.GATES}
-        u = {g: p.u[g].data for g in cl.GATES}
-        b = {g: p.b[g].data for g in cl.GATES}
+        w, u, b = gate_slices(p)
         h_ref, c_ref = convlstm_step_scalar(w, u, b, x, h0, c0)
         assert np.abs(st.h.data - h_ref).max() <= 1e-12
         assert np.abs(st.c.data - c_ref).max() <= 1e-12
@@ -111,10 +153,9 @@ class TestDense:
     def test_zero_params_fixed_points(self):
         rng = np.random.default_rng(8)
         p = cl.init_dense_lstm_params(rng, 4, 3, dtype=np.float64)
-        for g in cl.GATES:
-            p.w[g].data[:] = 0.0
-            p.u[g].data[:] = 0.0
-            p.b[g].data[:] = 0.0
+        p.w.data[:] = 0.0
+        p.u.data[:] = 0.0
+        p.b.data[:] = 0.0
         x = ad.constant(rng.normal(size=4))
         c0 = rng.normal(size=3)
         st = cl.dense_lstm_step(p, x, cl.ConvLstmState(
@@ -125,10 +166,10 @@ class TestDense:
     def test_two_unit_hand_computed(self):
         # one feature, two hidden units, hand-picked round numbers
         p = cl.init_dense_lstm_params(np.random.default_rng(0), 1, 2, dtype=np.float64)
-        for g, val in zip(cl.GATES, (0.5, -0.5, 1.0, 0.25)):
-            p.w[g].data[:] = val
-            p.u[g].data[:] = 0.0
-            p.b[g].data[:] = 0.0
+        for r, val in zip(gate_rows(2).values(), (0.5, -0.5, 1.0, 0.25)):
+            p.w.data[r] = val
+        p.u.data[:] = 0.0
+        p.b.data[:] = 0.0
         x = ad.constant(np.array([2.0]))
         st = cl.dense_lstm_step(p, x, cl.ConvLstmState(
             ad.constant(np.zeros(2)), ad.constant(np.zeros(2))))
@@ -145,10 +186,9 @@ class TestDense:
         cin, hid = 3, 2
         conv_p = random_params(rng, cin, hid, kernel=1)
         dense_p = cl.init_dense_lstm_params(rng, cin, hid, dtype=np.float64)
-        for g in cl.GATES:
-            dense_p.w[g].data[:] = conv_p.w[g].data[:, :, 0, 0, 0]
-            dense_p.u[g].data[:] = conv_p.u[g].data[:, :, 0, 0, 0]
-            dense_p.b[g].data[:] = conv_p.b[g].data
+        dense_p.w.data[:] = conv_p.k.data[:, :cin, 0, 0, 0]
+        dense_p.u.data[:] = conv_p.k.data[:, cin:, 0, 0, 0]
+        dense_p.b.data[:] = conv_p.b.data
         x = rng.normal(size=cin)
         h0 = rng.normal(size=hid)
         c0 = rng.normal(size=hid)
@@ -175,7 +215,9 @@ class TestInvariants:
             c0 = ad.constant(rng.normal(scale=2.0, size=(2, 5, 5, 5)))
             st = cl.convlstm_step(p, x, cl.ConvLstmState(h0, c0))
             assert np.abs(st.h.data).max() < 1.0
-            pre = cl._gate_pre(p, "i", x, h0)
+            # input gate: the first row block of the packed kernel
+            pre = ad.conv3d(ad.concat_channels([x, h0]), ad.constant(p.k.data[:p.hidden]),
+                            ad.constant(p.b.data[:p.hidden]), 1, 1)
             gate = ad.sigmoid(pre).data
             assert np.all((gate > 0.0) & (gate < 1.0))
             total += st.h.data.size

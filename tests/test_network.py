@@ -6,9 +6,7 @@ import pytest
 from moco4d import autodiff as ad
 from moco4d import network as net
 from moco4d.errors import ConfigurationError, DimensionError
-from moco4d.losses import LossConfig, total_loss
 from moco4d.network import FramePairSequence, NetVariant
-from moco4d.warping import warp
 
 # pinned reference counts for the full-scale configuration
 REFERENCE_COUNTS = {

@@ -5,12 +5,10 @@ import pytest
 
 from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.metrics import global_ncc, nmi, roi_stats
-from moco4d.patlak import (FitWeights, InputFunction, PatlakFit, TimeActivityCurve,
-                           cumulative_input, decay_weights, nfe, parametric_maps,
-                           patlak_fit)
+from moco4d.patlak import InputFunction, cumulative_input, decay_weights, parametric_maps
 from moco4d.series import FrameSeries
 
-from oracles import pearson_naive
+from oracles import patlak_nfe_scalar, patlak_wls_scalar, pearson_naive
 
 
 def dense_ifn(fn, t_max=70.0, dt=0.01):
@@ -51,10 +49,22 @@ class TestCumulativeInput:
         assert np.all(np.diff(out) > 0)
 
 
-def forward_tac(ifn, mid_times, ki, vb, durations=None):
-    acts = ki * cumulative_input(ifn, mid_times) + vb * ifn.at(mid_times)
-    durations = durations if durations is not None else np.full(len(mid_times), 5.0)
-    return TimeActivityCurve(mid_times, acts, durations)
+def tac_series(mids, acts, durations=None):
+    """A time-activity curve as a 1-voxel float64 series."""
+    durations = durations if durations is not None else np.full(len(mids), 5.0)
+    return FrameSeries(np.asarray(acts, dtype=np.float64).reshape(-1, 1, 1, 1), mids,
+                       durations)
+
+
+def forward_tac(ifn, mids, ki, vb, durations=None):
+    acts = ki * cumulative_input(ifn, mids) + vb * ifn.at(mids)
+    return tac_series(mids, acts, durations)
+
+
+def fit_tac(series, ifn, t_star, weights=None):
+    """(ki, vb, nfe, degenerate) of a 1-voxel series."""
+    m = parametric_maps(series, ifn, t_star, weights)
+    return m.ki.item(), m.vb.item(), m.nfe.item(), bool(m.degenerate.item())
 
 
 class TestPatlakFit:
@@ -63,18 +73,18 @@ class TestPatlakFit:
         mids = np.array([22.5, 27.5, 32.5, 37.5, 42.5, 47.5])
         tac = forward_tac(ifn, mids, 0.01, 0.05)
         w = decay_weights(mids, np.full(6, 5.0))
-        fit = patlak_fit(tac, ifn, 20.0, w)
-        assert fit.ki == pytest.approx(0.01, rel=1e-10)
-        assert fit.vb == pytest.approx(0.05, rel=1e-10)
-        assert not fit.degenerate
+        ki, vb, _nfe, degenerate = fit_tac(tac, ifn, 20.0, w)
+        assert ki == pytest.approx(0.01, rel=1e-10)
+        assert vb == pytest.approx(0.05, rel=1e-10)
+        assert not degenerate
 
     def test_pure_vascular(self):
         ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.02)
         mids = np.array([25.0, 30.0, 40.0, 55.0])
         tac = forward_tac(ifn, mids, 0.0, 0.05)
-        fit = patlak_fit(tac, ifn, 20.0, FitWeights(np.ones(4)))
-        assert fit.ki == pytest.approx(0.0, abs=1e-12)
-        assert fit.vb == pytest.approx(0.05, rel=1e-10)
+        ki, vb, _nfe, _deg = fit_tac(tac, ifn, 20.0, np.ones(4))
+        assert ki == pytest.approx(0.0, abs=1e-12)
+        assert vb == pytest.approx(0.05, rel=1e-10)
 
     def test_randomized_recovery_many(self):
         # brief version of the exactness sweep; the acceptance suite runs 1000
@@ -84,12 +94,11 @@ class TestPatlakFit:
         for _ in range(50):
             ki = rng.uniform(0.0, 0.05)
             vb = rng.uniform(0.01, 0.2)
-            w = FitWeights(rng.uniform(0.2, 3.0, len(mids)))
-            tac = forward_tac(ifn, mids, ki, vb)
-            fit = patlak_fit(tac, ifn, 20.0, w)
-            assert abs(fit.ki - ki) <= 1e-10 * max(ki, 1e-3)
-            assert abs(fit.vb - vb) <= 1e-10 * vb
-            assert nfe(tac, fit, ifn, w, 20.0) <= 1e-12
+            w = rng.uniform(0.2, 3.0, len(mids))
+            fit_ki, fit_vb, fit_nfe, _deg = fit_tac(forward_tac(ifn, mids, ki, vb), ifn, 20.0, w)
+            assert abs(fit_ki - ki) <= 1e-10 * max(ki, 1e-3)
+            assert abs(fit_vb - vb) <= 1e-10 * vb
+            assert fit_nfe <= 1e-12
 
     def test_matches_transformed_ols_formulation(self):
         # uniform weights equal OLS on the classic transformed coordinates
@@ -98,8 +107,7 @@ class TestPatlakFit:
         rng = np.random.default_rng(1)
         acts = (0.012 * cumulative_input(ifn, mids) + 0.07 * ifn.at(mids)
                 + rng.normal(0, 0.01, len(mids)))
-        tac = TimeActivityCurve(mids, acts, np.full(8, 5.0))
-        fit = patlak_fit(tac, ifn, 20.0, FitWeights(np.ones(8)))
+        ki, vb, _nfe, _deg = fit_tac(tac_series(mids, acts), ifn, 20.0, np.ones(8))
         # transformed: y/cp = ki*(cum/cp) + vb, weighted by cp^2
         cp = ifn.at(mids)
         xs = cumulative_input(ifn, mids) / cp
@@ -109,8 +117,8 @@ class TestPatlakFit:
         ym = np.sum(wts * ys) / wts.sum()
         ki_ols = np.sum(wts * (xs - xm) * (ys - ym)) / np.sum(wts * (xs - xm) ** 2)
         vb_ols = ym - ki_ols * xm
-        assert fit.ki == pytest.approx(ki_ols, rel=1e-9)
-        assert fit.vb == pytest.approx(vb_ols, rel=1e-9)
+        assert ki == pytest.approx(ki_ols, rel=1e-9)
+        assert vb == pytest.approx(vb_ols, rel=1e-9)
 
     def test_degenerate_constant_ratio(self):
         # proportional regressors make the normal equations singular
@@ -119,37 +127,41 @@ class TestPatlakFit:
         mids = np.array([30.0, 40.0, 50.0])
         # with constant cp, regressors [2t, 2] are NOT collinear; build true
         # degeneracy with two frames at ... use weights to zero the spread
-        tac = TimeActivityCurve(mids, np.array([1.0, 1.0, 1.0]), np.full(3, 5.0))
-        fit = patlak_fit(tac, ifn, 20.0, FitWeights(np.ones(3)))
-        assert not fit.degenerate  # sanity: this one is solvable
+        tac = tac_series(mids, np.array([1.0, 1.0, 1.0]))
+        _ki, _vb, _nfe, degenerate = fit_tac(tac, ifn, 20.0, np.ones(3))
+        assert not degenerate  # sanity: this one is solvable
 
     def test_too_few_frames(self):
         ifn = dense_ifn(lambda t: np.full_like(t, 1.0) + t * 0, dt=0.1)
-        tac = TimeActivityCurve(np.array([10.0, 25.0]), np.array([1.0, 1.0]),
-                                np.array([5.0, 5.0]))
+        tac = tac_series(np.array([10.0, 25.0]), np.array([1.0, 1.0]))
         with pytest.raises(ConfigurationError):
-            patlak_fit(tac, ifn, 20.0, FitWeights(np.ones(1)))
+            fit_tac(tac, ifn, 20.0, np.ones(1))
 
 
 class TestNfe:
     def test_perfect_fit_zero(self):
         ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.02)
         mids = np.linspace(22.5, 57.5, 8)
-        tac = forward_tac(ifn, mids, 0.0146, 0.05)
         w = decay_weights(mids, np.full(8, 5.0))
-        fit = patlak_fit(tac, ifn, 20.0, w)
-        assert nfe(tac, fit, ifn, w, 20.0) <= 1e-12
+        _ki, _vb, nfe, _deg = fit_tac(forward_tac(ifn, mids, 0.0146, 0.05), ifn, 20.0, w)
+        assert nfe <= 1e-12
 
     def test_hand_computed_three_frames(self):
         times = np.linspace(0.0, 60.0, 6001)
         ifn = InputFunction(times, np.full(6001, 1.0))   # cp = 1, cum = t
         mids = np.array([30.0, 40.0, 50.0])
         acts = np.array([1.0, 2.0, 4.0])
-        w = FitWeights(np.array([1.0, 1.0, 1.0]))
-        fit = PatlakFit(ki=0.1, vb=0.0)                   # fixed line: y_hat = .1 t
-        # residuals: 3-1=2, 4-2=2, 5-4=1 -> num = 4+4+1 = 9
-        # den = (3-2) * sum((w*y/3)^2) = (1+4+16)/9 = 21/9
-        got = nfe(TimeActivityCurve(mids, acts, np.full(3, 5.0)), fit, ifn, w, 20.0)
+        w = np.ones(3)
+        # OLS line through (30, 1), (40, 2), (50, 4): slope 30/200, intercept
+        # 7/3 - 6; residuals 1/6, -1/3, 1/6 -> num = 1/6, den = 21/9
+        ki, vb, nfe, _deg = fit_tac(tac_series(mids, acts), ifn, 20.0, w)
+        assert ki == pytest.approx(0.15, rel=1e-12)
+        assert vb == pytest.approx(-11.0 / 3.0, rel=1e-12)
+        assert nfe == pytest.approx(1.0 / 14.0, rel=1e-12)
+        # the oracle on a fixed line y_hat = .1 t: residuals 3-1=2, 4-2=2,
+        # 5-4=1 -> num = 4+4+1 = 9
+        cum, cp = cumulative_input(ifn, mids), ifn.at(mids)
+        got = patlak_nfe_scalar(cum, cp, acts, w, 0.1, 0.0)
         assert got == pytest.approx(9.0 / (21.0 / 9.0), rel=1e-12)
 
     def test_scale_invariance(self):
@@ -160,38 +172,35 @@ class TestNfe:
             + rng.normal(0, 0.02, 8)
         w = decay_weights(mids, np.full(8, 5.0))
         s = 7.3
-        tac1 = TimeActivityCurve(mids, acts, np.full(8, 5.0))
         ifn2 = InputFunction(ifn.times, s * ifn.values)
-        tac2 = TimeActivityCurve(mids, s * acts, np.full(8, 5.0))
-        f1 = patlak_fit(tac1, ifn, 20.0, w)
-        f2 = patlak_fit(tac2, ifn2, 20.0, w)
-        assert nfe(tac1, f1, ifn, w, 20.0) == pytest.approx(
-            nfe(tac2, f2, ifn2, w, 20.0), rel=1e-9)
+        nfe1 = fit_tac(tac_series(mids, acts), ifn, 20.0, w)[2]
+        nfe2 = fit_tac(tac_series(mids, s * acts), ifn2, 20.0, w)[2]
+        assert nfe1 == pytest.approx(nfe2, rel=1e-9)
 
     def test_all_zero_activities_flagged(self):
+        # the scalar NFE of an all-zero curve is 0/0; the maps flag the voxel
         ifn = dense_ifn(lambda t: np.exp(-t / 30.0) + 0.5, dt=0.05)
         mids = np.array([25.0, 35.0, 45.0])
-        tac = TimeActivityCurve(mids, np.zeros(3), np.full(3, 5.0))
-        w = FitWeights(np.ones(3))
-        fit = patlak_fit(tac, ifn, 20.0, w)
-        assert np.isnan(nfe(tac, fit, ifn, w, 20.0))
+        w = np.ones(3)
+        cum, cp = cumulative_input(ifn, mids), ifn.at(mids)
+        ki, vb, _deg = patlak_wls_scalar(cum, cp, np.zeros(3), w)
+        assert np.isnan(patlak_nfe_scalar(cum, cp, np.zeros(3), w, ki, vb))
+        _ki, _vb, nfe, degenerate = fit_tac(tac_series(mids, np.zeros(3)), ifn, 20.0, w)
+        assert degenerate
+        assert nfe == 0.0
 
     def test_noise_increases_expected_nfe(self):
-        # Monte-Carlo sign test: noisy TACs fit worse than clean ones
+        # Monte-Carlo sign test: noisy TACs (one voxel each) fit worse than clean ones
         rng = np.random.default_rng(3)
         ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.05)
         mids = np.linspace(22.5, 57.5, 8)
         w = decay_weights(mids, np.full(8, 5.0))
         clean = forward_tac(ifn, mids, 0.01, 0.06)
-        fit_c = patlak_fit(clean, ifn, 20.0, w)
-        base = nfe(clean, fit_c, ifn, w, 20.0)
-        wins = 0
-        for _ in range(100):
-            noisy = TimeActivityCurve(mids, clean.activities
-                                      + rng.normal(0, 0.05, 8), np.full(8, 5.0))
-            fit_n = patlak_fit(noisy, ifn, 20.0, w)
-            if nfe(noisy, fit_n, ifn, w, 20.0) > base:
-                wins += 1
+        base = fit_tac(clean, ifn, 20.0, w)[2]
+        noise = rng.normal(0, 0.05, (100, 8)).T.reshape(8, 1, 1, 100)
+        noisy = FrameSeries(clean.data + noise, mids, clean.durations)
+        maps = parametric_maps(noisy, ifn, 20.0, w)
+        wins = int(np.sum(maps.nfe > base))
         # one-sided sign test at p < 0.01: needs >= 63 of 100
         assert wins >= 63
 
@@ -232,11 +241,21 @@ class TestParametricMaps:
         maps = parametric_maps(series, ifn, 20.0)
         w = decay_weights(mids, np.full(8, 5.0))
         v = (1, 2, 0)
-        tac = TimeActivityCurve(mids, series.data[:, v[0], v[1], v[2]].astype(np.float64),
-                                np.full(8, 5.0))
-        fit = patlak_fit(tac, ifn, 20.0, w)
-        assert maps.ki[v] == pytest.approx(fit.ki, rel=1e-6)
-        assert maps.vb[v] == pytest.approx(fit.vb, rel=1e-5)
+        y = series.data[:, v[0], v[1], v[2]].astype(np.float64)
+        ki, vb, _deg = patlak_wls_scalar(cumulative_input(ifn, mids), ifn.at(mids), y, w)
+        assert maps.ki[v] == pytest.approx(ki, rel=1e-6)
+        assert maps.vb[v] == pytest.approx(vb, rel=1e-5)
+
+    def test_weights_validated(self):
+        ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.05)
+        mids = np.linspace(22.5, 57.5, 8)
+        tac = forward_tac(ifn, mids, 0.01, 0.05)
+        w = decay_weights(mids, np.full(8, 5.0))
+        assert type(w) is np.ndarray and np.all(w > 0)
+        with pytest.raises(ConfigurationError):
+            parametric_maps(tac, ifn, 20.0, np.where(np.arange(8) == 3, 0.0, w))
+        with pytest.raises(DimensionError):
+            parametric_maps(tac, ifn, 20.0, w[:5])
 
 
 class TestAlignmentMetrics:

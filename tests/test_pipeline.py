@@ -1,0 +1,85 @@
+"""The whole job on the default 16x16x32 phantom at working resolution:
+simulate -> inject motion -> train -> apply -> evaluate, B-ConvLSTM."""
+
+import numpy as np
+import pytest
+
+from moco4d import network as net
+from moco4d import phantom as ph
+from moco4d import train as tr
+from moco4d.network import NetVariant
+from moco4d.patlak import parametric_maps
+
+VARIANT = NetVariant.B_CONVLSTM
+T_STAR = 20.0
+
+
+@pytest.fixture(scope="module")
+def phantom():
+    spec = ph.PhantomSpec()
+    ifn = ph.sample_input_function()
+    mids, durations = ph.default_frame_times()
+    return spec, ifn, ph.simulate_frames(spec, ifn, mids, durations)
+
+
+def config(**kw):
+    return tr.TrainConfig(downsample_factor=1, **kw)
+
+
+def make_model(seed=1):
+    return net.init_net_params(VARIANT, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("motion_seed", range(4))
+def test_zero_flow_head_apply_is_identity(phantom, motion_seed):
+    spec, ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=motion_seed))
+    model = make_model()
+    k, b = model.convs["flow"]
+    k.data[:] = 0.0
+    b.data[:] = 0.0
+    corrected, fields = tr.apply(model, moving, config())
+    np.testing.assert_array_equal(corrected.data, moving.data)
+    assert not any(f.data.any() for f in fields)
+    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn, T_STAR)
+    assert report["endpoint_error_no_correction"] > 0.0
+    assert report["endpoint_error_voxels"] == report["endpoint_error_no_correction"]
+
+
+def test_reference_frame_passes_through_with_zero_field(phantom):
+    _spec, _ifn, truth = phantom
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    cfg = config()
+    corrected, fields = tr.apply(make_model(), moving, cfg)
+    ref = cfg.reference_index
+    np.testing.assert_array_equal(corrected.data[ref], moving.data[ref])
+    assert not fields[ref].data.any()
+    # every other frame gets the network's small but nonzero field
+    assert all(fields[i].data.any() for i in range(moving.frames) if i != ref)
+
+
+def test_train_is_bit_deterministic(phantom):
+    # one epoch over the single 5-frame window of the first five frames
+    _spec, _ifn, truth = phantom
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    cfg = config(epochs=1, seed=3)
+    (m1, trace1), (m2, trace2) = [tr.train(make_model(), VARIANT, [moving], cfg,
+                                           frames=range(5)) for _ in range(2)]
+    assert len(trace1) == 1
+    assert trace1 == trace2
+    p0, p1, p2 = make_model().named(), m1.named(), m2.named()
+    for name in p1:
+        np.testing.assert_array_equal(p1[name].data, p2[name].data)
+    assert any(not np.array_equal(p0[name].data, p1[name].data) for name in p1)
+
+
+def test_default_motion_bias_sign_depends_on_seed(phantom):
+    spec, ifn, truth = phantom
+    tumor = spec.region_mask(spec.tumor_tag)
+    free = parametric_maps(truth, ifn, T_STAR).ki[tumor].mean()
+    assert free == pytest.approx(0.0146, rel=1e-6)
+    bias = []
+    for seed in (0, 1):
+        moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=seed))
+        bias.append(parametric_maps(moving, ifn, T_STAR).ki[tumor].mean() - free)
+    assert bias[0] > 0.0 > bias[1]

@@ -5,7 +5,7 @@ import pytest
 
 from moco4d import autodiff as ad
 from moco4d.errors import DimensionError
-from moco4d.losses import LossConfig, local_ncc, local_ncc_map, loss_terms, smoothness, total_loss
+from moco4d.losses import LossConfig, local_ncc, local_ncc_map, loss_terms, smoothness
 from moco4d.warping import DisplacementField, resample_field, warp
 
 from oracles import shift_volume, smoothness_naive
@@ -177,7 +177,7 @@ class TestTotalLoss:
         m = 3
         fields = [np.zeros((3, 8, 8, 8)) for _ in range(m)]
         warped = [ref.copy() for _ in range(m)]
-        loss = float(total_loss(ref, warped, fields, LossConfig(lam=1.0, ncc_window=3)).data)
+        loss = float(loss_terms(ref, warped, fields, LossConfig(lam=1.0, ncc_window=3))[0].data)
         assert abs(loss - (-m)) <= m * 1e-3
 
     def test_lambda_zero_is_pure_similarity(self):
@@ -186,7 +186,7 @@ class TestTotalLoss:
         mov = rng.normal(size=(6, 6, 6))
         f = rng.normal(size=(3, 6, 6, 6))
         cfg0 = LossConfig(lam=0.0, ncc_window=3)
-        loss = float(total_loss(ref, [mov], [f], cfg0).data)
+        loss = float(loss_terms(ref, [mov], [f], cfg0)[0].data)
         sim = float(local_ncc(ref, mov, cfg0).data)
         np.testing.assert_allclose(loss, -sim, rtol=1e-12)
 
@@ -197,8 +197,8 @@ class TestTotalLoss:
         f = rng.uniform(-1, 1, size=(3, 6, 6, 6))
         vals = []
         for lam in (0.1, 1.0, 10.0, 100.0):
-            vals.append(float(total_loss(ref, [mov], [f],
-                                         LossConfig(lam=lam, ncc_window=3)).data))
+            vals.append(float(loss_terms(ref, [mov], [f],
+                                         LossConfig(lam=lam, ncc_window=3))[0].data))
         pen = float(smoothness(f).data)
         sim = float(local_ncc(ref, mov, LossConfig(lam=1.0, ncc_window=3)).data)
         for lam, v in zip((0.1, 1.0, 10.0, 100.0), vals):
@@ -206,7 +206,10 @@ class TestTotalLoss:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            total_loss(np.zeros((4, 4, 4)), [np.zeros((4, 4, 4))], [], CFG3)
+            loss_terms(np.zeros((4, 4, 4)), [np.zeros((4, 4, 4))], [], CFG3)
+        with pytest.raises(DimensionError):
+            loss_terms(np.zeros((4, 4, 4)), [np.zeros((4, 4, 4))] * 2,
+                       [np.zeros((3, 4, 4, 4))], CFG3)
 
     def test_loss_terms_consistent(self):
         rng = np.random.default_rng(12)
@@ -216,8 +219,9 @@ class TestTotalLoss:
         cfg = LossConfig(lam=2.0, ncc_window=3)
         loss, sim, smo = loss_terms(ref, movs, flds, cfg)
         np.testing.assert_allclose(float(loss.data), -sim + cfg.lam * smo, rtol=1e-10)
-        ref_loss = total_loss(ref, movs, flds, cfg)
-        np.testing.assert_allclose(float(loss.data), float(ref_loss.data), rtol=1e-12)
+        want = sum(-float(local_ncc(ref, m, cfg).data) + cfg.lam * float(smoothness(f).data)
+                   for m, f in zip(movs, flds))
+        np.testing.assert_allclose(float(loss.data), want, rtol=1e-12)
 
 
 class TestGradients:
@@ -233,7 +237,7 @@ class TestGradients:
 
         def f(p):
             warped = warp(ad.constant(mov), p["field"])
-            return total_loss(ad.constant(ref), [warped], [p["field"]], cfg)
+            return loss_terms(ad.constant(ref), [warped], [p["field"]], cfg)[0]
 
         err = ad.grad_check(f, params, h=1e-4, samples=150, rng=rng)
         assert err <= 1e-4
