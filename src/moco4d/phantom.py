@@ -62,7 +62,7 @@ class Region:
             raise ConfigurationError("profile peak must be >= 1")
 
     def _rho2(self, grid):
-        zz, yy, xx = np.meshgrid(*[np.arange(n) for n in grid], indexing="ij")
+        zz, yy, xx = np.ix_(*[np.arange(n) for n in grid])
         dz = (zz - self.center[0]) / self.radii[0]
         dy = (yy - self.center[1]) / self.radii[1]
         dx = (xx - self.center[2]) / self.radii[2]
@@ -72,7 +72,7 @@ class Region:
         rho2 = self._rho2(grid)
         if self.kind == "ellipsoid":
             return rho2 <= 1.0
-        zz, yy, xx = np.meshgrid(*[np.arange(n) for n in grid], indexing="ij")
+        zz, yy, xx = np.ix_(*[np.arange(n) for n in grid])
         return ((np.abs(zz - self.center[0]) <= self.radii[0])
                 & (np.abs(yy - self.center[1]) <= self.radii[1])
                 & (np.abs(xx - self.center[2]) <= self.radii[2]))
@@ -252,15 +252,21 @@ def inject_motion(series: FrameSeries, motion: MotionSpec):
 def endpoint_error(est_fields, true_fields):
     """Mean composition residual |est(v) + true(v + est(v))| in voxels.
 
-    Zero for a perfect correction; equals mean |true| when est is zero."""
+    Zero for a perfect correction; equals mean |true| when est is zero. An
+    all-zero est skips the warp: a zero field samples every grid point with
+    weight 1 (and its other corners with weight 0), so there the residual is
+    exactly true."""
     total = 0.0
     count = 0
     for est, true in zip(est_fields, true_fields):
-        resid = np.zeros((3, *true.grid))
-        for a in range(3):
+        if est.data.shape != true.data.shape:
+            raise DimensionError(
+                f"endpoint_error: field shapes {est.data.shape} vs {true.data.shape}")
+        resid = true.data.astype(np.float64)
+        if est.data.any():
             # sample the true field at the correction's landing points
-            resid[a] = est.data[a] + warp(true.data[a].astype(np.float64),
-                                          est.data.astype(np.float64))
+            est64 = est.data.astype(np.float64)
+            resid = est64 + warp(resid, est64)
         mag = np.sqrt(np.sum(resid ** 2, axis=0))
         total += float(mag.sum())
         count += mag.size
@@ -302,7 +308,7 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
                          ("corrected", corrected)):
         report[name], _maps = _condition_metrics(series, ifn, t_star, body, tumor)
     report["endpoint_error_voxels"] = endpoint_error(est_fields, true_fields)
+    zero = np.zeros_like(true_fields[0].data)     # read only, shared by every frame
     report["endpoint_error_no_correction"] = endpoint_error(
-        [DisplacementField(np.zeros_like(f.data), f.spacing_mm) for f in true_fields],
-        true_fields)
+        [DisplacementField(zero, f.spacing_mm) for f in true_fields], true_fields)
     return report

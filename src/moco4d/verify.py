@@ -45,7 +45,7 @@ def make_gradcheck_instance(extents=(16, 16, 32), frames=5, seed=12345,
     for _ in range(frames):
         fld = np.stack([ad._box_sum(rng.normal(size=extents), 3) / 27.0
                         for _ in range(3)]) * 1.5
-        movs.append(ad._warp_fwd(ref, fld) + rng.normal(scale=0.02, size=extents))
+        movs.append(warp(ref, fld) + rng.normal(scale=0.02, size=extents))
     seq = net.FramePairSequence(ref, movs)
     cfg = LossConfig(lam=1.0, ncc_window=9, ncc_epsilon=1e-3)
     return params, seq, cfg

@@ -35,21 +35,16 @@ class DisplacementField:
 
 
 def warp(volume, field):
-    """Trilinear pull-warp of a 3-D volume; accepts arrays or graph tensors.
+    """Trilinear pull-warp of a [D, H, W] volume, or of each channel of a
+    [C, D, H, W] volume by the same field; accepts arrays or graph tensors.
 
     out(v) = volume(v + field(v)); samples outside the volume read 0.
     """
     graph = isinstance(volume, ad.Tensor) or isinstance(field, ad.Tensor)
-    fdata = field.data if isinstance(field, (ad.Tensor, DisplacementField)) else field
-    vdata = volume.data if isinstance(volume, ad.Tensor) else volume
-    if np.asarray(fdata).shape != (3,) + np.asarray(vdata).shape:
-        raise DimensionError(
-            f"warp: field grid {np.asarray(fdata).shape} vs volume {np.asarray(vdata).shape}")
-    if graph:
-        vol_t = volume if isinstance(volume, ad.Tensor) else ad.constant(volume)
-        fld_t = field if isinstance(field, ad.Tensor) else ad.constant(fdata)
-        return ad.warp(vol_t, fld_t)
-    return ad.warp(ad.constant(vdata), ad.constant(fdata)).data
+    if isinstance(field, DisplacementField):
+        field = field.data
+    out = ad.warp(volume, field)
+    return out if graph else out.data
 
 
 def resample_field(field: DisplacementField, factor: int, direction: str) -> DisplacementField:

@@ -73,6 +73,34 @@ def shift_volume(vol, dz, dy, dx):
     return out
 
 
+def warp_trilinear_naive(vol, field):
+    """Triple-loop trilinear pull-warp: out[v] sums the 8 corners around
+    v + field[v], z-major; each term is the corner's float64 trilinear weight
+    times the voxel, rounded to the volume's dtype and summed in it. Corners
+    outside the volume read 0."""
+    D, H, W = vol.shape
+    cast = vol.dtype.type
+    out = np.zeros(vol.shape, dtype=vol.dtype)
+    for z in range(D):
+        for y in range(H):
+            for x in range(W):
+                p = (z + float(field[0, z, y, x]), y + float(field[1, z, y, x]),
+                     x + float(field[2, z, y, x]))
+                lo = [int(np.floor(c)) for c in p]
+                frac = [c - f for c, f in zip(p, lo)]
+                acc = cast(0)
+                for corner in range(8):
+                    idx, weight = [], 1.0
+                    for axis in range(3):
+                        up = (corner >> (2 - axis)) & 1
+                        idx.append(lo[axis] + up)
+                        weight *= frac[axis] if up else 1.0 - frac[axis]
+                    if 0 <= idx[0] < D and 0 <= idx[1] < H and 0 <= idx[2] < W:
+                        acc = cast(acc + cast(weight * float(vol[idx[0], idx[1], idx[2]])))
+                out[z, y, x] = acc
+    return out
+
+
 def smoothness_naive(field):
     """Triple-loop mean of squared forward differences (zero at far boundary)."""
     C, D, H, W = field.shape

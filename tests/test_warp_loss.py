@@ -6,9 +6,10 @@ import pytest
 from moco4d import autodiff as ad
 from moco4d.errors import DimensionError
 from moco4d.losses import LossConfig, local_ncc, local_ncc_map, loss_terms, smoothness
+from moco4d.phantom import endpoint_error
 from moco4d.warping import DisplacementField, resample_field, warp
 
-from oracles import shift_volume, smoothness_naive
+from oracles import shift_volume, smoothness_naive, warp_trilinear_naive
 
 CFG3 = LossConfig(lam=1.0, ncc_window=3, ncc_epsilon=1e-5)
 
@@ -59,6 +60,87 @@ class TestWarp:
         field = np.zeros((3, 4, 4, 4))
         field[0] = 10.0
         assert np.all(warp(vol, field) == 0.0)
+
+    # a grid the warp takes in two z-slabs, the second one partial
+    MULTI_SLAB = (7, 48, 64)
+
+    @pytest.mark.parametrize("grid", [(5, 6, 7), MULTI_SLAB])
+    def test_matches_trilinear_oracle(self, grid):
+        if grid == self.MULTI_SLAB:
+            assert grid[0] > ad._WARP_SLAB_VOXELS // (grid[1] * grid[2]) >= 1
+        rng = np.random.default_rng(15)
+        vol = rng.normal(size=grid)
+        # displacements in +-3 send many samples, and corners, out of the volume
+        field = rng.uniform(-3.0, 3.0, size=(3, *grid))
+        got = warp(vol, field)
+        assert np.abs(got - warp_trilinear_naive(vol, field)).max() <= 1e-12
+
+    def test_float32_rounds_each_corner_term(self):
+        # float32 volumes round every corner's float64 term to float32 and sum
+        # in float32, in z-major corner order: earlier float32 warps repeat
+        # bit for bit
+        rng = np.random.default_rng(17)
+        vol = rng.normal(size=(5, 6, 7)).astype(np.float32)
+        field = rng.uniform(-3.0, 3.0, size=(3, 5, 6, 7)).astype(np.float32)
+        assert np.array_equal(warp(vol, field), warp_trilinear_naive(vol, field))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_channels_bit_identical_to_single_warps(self, dtype):
+        rng = np.random.default_rng(16)
+        vols = rng.normal(size=(3, *self.MULTI_SLAB)).astype(dtype)
+        field = rng.uniform(-3.0, 3.0, size=(3, *self.MULTI_SLAB)).astype(dtype)
+        got = warp(vols, field)
+        assert got.dtype == dtype
+        for c in range(3):
+            assert np.array_equal(got[c], warp(vols[c], field))
+
+    def test_volume_rank_rejected(self):
+        with pytest.raises(DimensionError):
+            warp(np.zeros((1, 2, 4, 4, 4)), np.zeros((3, 4, 4, 4)))
+        with pytest.raises(DimensionError):
+            warp(np.zeros((2, 4, 4, 4)), np.zeros((3, 4, 4, 5)))
+
+
+def _endpoint_error_per_component(est_fields, true_fields):
+    """The composition residual with one single-channel warp per component."""
+    total, count = 0.0, 0
+    for est, true in zip(est_fields, true_fields):
+        resid = np.zeros((3, *true.grid))
+        for a in range(3):
+            resid[a] = est.data[a] + warp(true.data[a].astype(np.float64),
+                                          est.data.astype(np.float64))
+        mag = np.sqrt(np.sum(resid ** 2, axis=0))
+        total += float(mag.sum())
+        count += mag.size
+    return total / max(count, 1)
+
+
+class TestEndpointError:
+    GRID = (6, 7, 8)
+
+    def _fields(self, rng, n, scale):
+        return [DisplacementField(rng.uniform(-scale, scale, size=(3, *self.GRID))
+                                  .astype(np.float32)) for _ in range(n)]
+
+    def test_matches_per_component_composition(self):
+        rng = np.random.default_rng(18)
+        true, est = self._fields(rng, 3, 2.5), self._fields(rng, 3, 2.0)
+        assert endpoint_error(est, true) == _endpoint_error_per_component(est, true)
+
+    def test_zero_correction_is_mean_true_magnitude(self):
+        rng = np.random.default_rng(19)
+        true = self._fields(rng, 3, 2.5)
+        zero = [DisplacementField(np.zeros((3, *self.GRID), np.float32)) for _ in true]
+        assert endpoint_error(zero, true) == _endpoint_error_per_component(zero, true)
+        t64 = true[0].data.astype(np.float64)
+        want = np.mean(np.sqrt(np.sum(t64 ** 2, axis=0)))
+        assert endpoint_error(zero[:1], true[:1]) == want
+
+    def test_shape_mismatch(self):
+        true = [DisplacementField(np.zeros((3, *self.GRID)))]
+        for est in (np.zeros((3, 6, 7, 9)), np.ones((3, 6, 7, 9))):
+            with pytest.raises(DimensionError):
+                endpoint_error([DisplacementField(est)], true)
 
 
 class TestResampleField:
@@ -238,6 +320,18 @@ class TestGradients:
         def f(p):
             warped = warp(ad.constant(mov), p["field"])
             return loss_terms(ad.constant(ref), [warped], [p["field"]], cfg)[0]
+
+        err = ad.grad_check(f, params, h=1e-4, samples=150, rng=rng)
+        assert err <= 1e-4
+
+    def test_channels_warp_grads(self):
+        rng = np.random.default_rng(20)
+        vols = rng.normal(size=(2, 5, 5, 5))
+        field = rng.uniform(0.1, 0.4, size=(3, 5, 5, 5))
+        params = {"vols": ad.param("vols", vols), "field": ad.param("field", field)}
+
+        def f(p):
+            return ad.mean_all(ad.square(warp(p["vols"], p["field"])))
 
         err = ad.grad_check(f, params, h=1e-4, samples=150, rng=rng)
         assert err <= 1e-4
