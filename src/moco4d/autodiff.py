@@ -4,7 +4,9 @@ Primitives are recorded on an explicit tape (execution order is a valid
 topological order), and `backward` walks the tape in reverse accumulating
 vector-Jacobian products. Volumes may be stored in float32; gradient checks
 should build float64 graphs. Reductions accumulate in float64 regardless of
-storage dtype.
+storage dtype. `forward_diff`, `box_sum` and `interp_resize` are one separable
+linear map: one matrix per changed axis, a VJP that applies the transposes,
+and products in the matrices' dtype (float64 for `box_sum`).
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def leaky_relu(x, slope=0.2):
     out = np.where(x.data > 0, x.data, slope * x.data)
 
     def vjp(g):
-        return (g * np.where(x.data > 0, 1.0, slope).astype(g.dtype),)
+        return (np.where(x.data > 0, g, g * slope),)
 
     return _node(out, [x], vjp, "leaky_relu")
 
@@ -284,26 +286,6 @@ def matvec(m, x):
         return np.outer(g, x.data), m.data.T @ g
 
     return _node(m.data @ x.data, [m, x], vjp, "matvec")
-
-
-def forward_diff(x, axis):
-    """Forward difference along `axis`, zero at the far boundary."""
-    x = _as_tensor(x)
-    sl_hi = [slice(None)] * x.data.ndim
-    sl_lo = [slice(None)] * x.data.ndim
-    sl_hi[axis] = slice(1, None)
-    sl_lo[axis] = slice(None, -1)
-    sl_hi, sl_lo = tuple(sl_hi), tuple(sl_lo)
-    d = np.zeros_like(x.data)
-    d[sl_lo] = x.data[sl_hi] - x.data[sl_lo]
-
-    def vjp(g):
-        gx = np.zeros_like(g)
-        gx[sl_hi] += g[sl_lo]
-        gx[sl_lo] -= g[sl_lo]
-        return (gx,)
-
-    return _node(d, [x], vjp, "forward_diff")
 
 
 # -- 3-D convolution --------------------------------------------------------------
@@ -498,83 +480,71 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
     return _node(y if batched else y[0], [x, kernels, bias], vjp, "conv3d")
 
 
-# -- sliding window sums (for windowed NCC) ---------------------------------------
+# -- separable linear maps ------------------------------------------------------------
+#
+# One matrix per changed axis: the forward pass applies the matrices in turn, the
+# VJP applies their transposes, and products run in the matrices' dtype before
+# the result is cast back to the storage dtype.
 
-def _box_sum_axis(x, w, axis):
-    hw = w // 2
-    n = x.shape[axis]
-    cs = np.cumsum(x, axis=axis, dtype=np.float64)
-    zero = np.zeros_like(cs.take([0], axis=axis))
-    cs = np.concatenate([zero, cs], axis=axis)
-    hi = np.minimum(np.arange(n) + hw + 1, n)
-    lo = np.maximum(np.arange(n) - hw, 0)
-    return cs.take(hi, axis=axis) - cs.take(lo, axis=axis)
+def _along(x, a, axis):
+    """Apply an [n_out, n_in] matrix along one axis as a (batched) GEMM whose
+    result is contiguous; tensordot + moveaxis leaves it strided, 2.5x slower."""
+    axis %= x.ndim
+    n_in = x.shape[axis]
+    out_shape = x.shape[:axis] + (a.shape[0],) + x.shape[axis + 1:]
+    if axis == x.ndim - 1:
+        return (x.reshape(-1, n_in) @ a.T).reshape(out_shape)
+    pre = int(np.prod(x.shape[:axis]))
+    return np.matmul(a, x.reshape(pre, n_in, -1)).reshape(out_shape)
 
 
-def _box_sum(x, w):
-    out = x
-    for axis in range(x.ndim):
-        out = _box_sum_axis(out, w, axis)
-    return out.astype(x.dtype, copy=False)
+def _separable(x, mats, op):
+    """Tape node for the linear map that applies `mats` ({axis: matrix})."""
+    x = _as_tensor(x)
+
+    def apply(y, transpose):
+        for axis, a in mats.items():
+            y = _along(y, a.T if transpose else a, axis)
+        return y.astype(x.data.dtype, copy=False)
+
+    return _node(apply(x.data, False), [x], lambda g: (apply(g, True),), op)
+
+
+def forward_diff(x, axis):
+    """Forward difference along `axis`, zero at the far boundary."""
+    x = _as_tensor(x)
+    n = x.data.shape[axis]
+    d = np.eye(n, k=1, dtype=x.data.dtype) - np.eye(n, dtype=x.data.dtype)
+    d[-1] = 0.0
+    return _separable(x, {axis: d}, "forward_diff")
 
 
 def box_sum(x, window):
-    """Sum over a centered cubic window (zero padding); self-adjoint."""
+    """Sum over a centered cubic window (zero padding); self-adjoint.
+
+    The band matrices are float64, so the sums accumulate in float64."""
     x = _as_tensor(x)
     if window % 2 != 1 or window < 1:
         raise DimensionError(f"box_sum: window must be odd positive, got {window}")
     if any(window > s for s in x.data.shape):
         raise DimensionError(f"box_sum: window {window} exceeds extents {x.data.shape}")
-
-    def vjp(g):
-        return (_box_sum(g, window),)
-
-    return _node(_box_sum(x.data, window), [x], vjp, "box_sum")
-
-
-# -- trilinear resize ---------------------------------------------------------------
-
-def _resize_coords(n_out, n_in):
-    x = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    x = np.clip(x, 0.0, n_in - 1.0)
-    i0 = np.floor(x).astype(np.int64)
-    i0 = np.minimum(i0, n_in - 1)
-    f = x - i0
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, f
+    hw = window // 2
+    bands = {axis: np.tri(n, k=hw) - np.tri(n, k=-hw - 1)
+             for axis, n in enumerate(x.data.shape)}
+    return _separable(x, bands, "box_sum")
 
 
-def _resize_axis(x, n_out, axis):
-    i0, i1, f = _resize_coords(n_out, x.shape[axis])
-    shape = [1] * x.ndim
-    shape[axis] = n_out
-    f = f.reshape(shape).astype(x.dtype)
-    return x.take(i0, axis=axis) * (1.0 - f) + x.take(i1, axis=axis) * f
-
-
-def _resize_matrix(n_out, n_in):
-    """Dense [n_out, n_in] interpolation matrix of `_resize_axis`."""
-    i0, i1, f = _resize_coords(n_out, n_in)
+def _resize_matrix(n_out, n_in, dtype):
+    """Dense [n_out, n_in] linear interpolation matrix: output pixel centers
+    mapped onto the input grid, clamped to its edge samples."""
+    pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(pos).astype(np.int64)
+    f = pos - i0
     a = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
     a[rows, i0] += 1.0 - f
-    a[rows, i1] += f
-    return a
-
-
-def _resize_axis_adjoint(g, n_in, axis):
-    a = _resize_matrix(g.shape[axis], n_in).astype(g.dtype)
-    return np.moveaxis(np.tensordot(g, a, axes=(axis, 0)), -1, axis)
-
-
-def _resize_spatial(x, out_spatial):
-    # channel-first layout: spatial axes are the trailing three
-    out = x
-    for a, n in enumerate(out_spatial):
-        axis = x.ndim - 3 + a
-        if out.shape[axis] != n:
-            out = _resize_axis(out, n, axis)
-    return out
+    a[rows, np.minimum(i0 + 1, n_in - 1)] += f
+    return a.astype(dtype)
 
 
 def interp_resize(x, out_spatial):
@@ -585,18 +555,11 @@ def interp_resize(x, out_spatial):
     linear ramps.
     """
     x = _as_tensor(x)
-    out_spatial = tuple(int(n) for n in out_spatial)
-    in_spatial = x.data.shape[-3:]
-
-    def vjp(g):
-        out = g
-        for a in range(3):
-            axis = g.ndim - 3 + a
-            if out.shape[axis] != in_spatial[a]:
-                out = _resize_axis_adjoint(out, in_spatial[a], axis)
-        return (out,)
-
-    return _node(_resize_spatial(x.data, out_spatial), [x], vjp, "interp_resize")
+    shape = x.data.shape
+    mats = {axis: _resize_matrix(int(n), shape[axis], x.data.dtype)
+            for axis, n in zip(range(len(shape) - 3, len(shape)), out_spatial)
+            if shape[axis] != int(n)}
+    return _separable(x, mats, "interp_resize")
 
 
 # -- warp (backward/pull trilinear resampling) ---------------------------------------

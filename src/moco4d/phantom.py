@@ -256,6 +256,8 @@ def endpoint_error(est_fields, true_fields):
     all-zero est skips the warp: a zero field samples every grid point with
     weight 1 (and its other corners with weight 0), so there the residual is
     exactly true."""
+    if len(est_fields) != len(true_fields):
+        raise DimensionError(f"endpoint_error: {len(est_fields)} vs {len(true_fields)} fields")
     total = 0.0
     count = 0
     for est, true in zip(est_fields, true_fields):
@@ -295,6 +297,8 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
     report kinetic statistics, alignment metrics, and field endpoint error."""
     if corrected.grid != truth.grid:
         raise DimensionError("corrected/truth grids differ")
+    if len(true_fields) != truth.frames:
+        raise DimensionError(f"{len(true_fields)} true fields for {truth.frames} frames")
     _ki, _vb, body = spec.kinetic_maps()
     tumor = spec.region_mask(spec.tumor_tag)
 

@@ -43,7 +43,7 @@ def make_gradcheck_instance(extents=(16, 16, 32), frames=5, seed=12345,
     ref = rng.normal(size=extents) + 1.0
     movs = []
     for _ in range(frames):
-        fld = np.stack([ad._box_sum(rng.normal(size=extents), 3) / 27.0
+        fld = np.stack([ad.box_sum(rng.normal(size=extents), 3).data / 27.0
                         for _ in range(3)]) * 1.5
         movs.append(warp(ref, fld) + rng.normal(scale=0.02, size=extents))
     seq = net.FramePairSequence(ref, movs)

@@ -101,6 +101,33 @@ def warp_trilinear_naive(vol, field):
     return out
 
 
+def interp_resize_naive(x, out_spatial):
+    """Per output voxel of the three trailing axes: the pixel-center source
+    coordinate (i + 0.5) * n_in / n_out - 0.5 on each axis, clamped to
+    [0, n_in - 1], then a trilinear blend of its 8 neighbours (the upper
+    neighbour clamped too)."""
+    lead, spatial = x.shape[:-3], x.shape[-3:]
+    flat = x.reshape((-1,) + spatial)
+    out = np.zeros((flat.shape[0],) + tuple(out_spatial))
+
+    def taps(i, n_out, n_in):
+        c = min(max((i + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
+        lo = int(np.floor(c))
+        return (lo, min(lo + 1, n_in - 1)), (1.0 - (c - lo), c - lo)
+
+    for z in range(out_spatial[0]):
+        iz, wz = taps(z, out_spatial[0], spatial[0])
+        for y in range(out_spatial[1]):
+            iy, wy = taps(y, out_spatial[1], spatial[1])
+            for x_ in range(out_spatial[2]):
+                ix, wx = taps(x_, out_spatial[2], spatial[2])
+                for corner in range(8):
+                    a, b, c = (corner >> 2) & 1, (corner >> 1) & 1, corner & 1
+                    out[:, z, y, x_] += (wz[a] * wy[b] * wx[c]
+                                         * flat[:, iz[a], iy[b], ix[c]])
+    return out.reshape(lead + tuple(out_spatial))
+
+
 def smoothness_naive(field):
     """Triple-loop mean of squared forward differences (zero at far boundary)."""
     C, D, H, W = field.shape

@@ -6,7 +6,7 @@ import pytest
 from moco4d import autodiff as ad
 from moco4d.errors import DimensionError, NumericError
 
-from oracles import conv3d_naive
+from oracles import conv3d_naive, interp_resize_naive
 
 
 def box_sum_naive(x, w):
@@ -256,6 +256,34 @@ class TestBoxSum:
         with pytest.raises(DimensionError):
             ad.box_sum(ad.constant(np.zeros((3, 3, 3))), 5)
 
+    def test_float32_sums_accumulate_in_float64(self):
+        # large and tiny values in one window: a float32 accumulation loses
+        # the small terms, a float64 one rounds once at the end
+        rng = np.random.default_rng(10)
+        big = rng.random((6, 7, 8)) < 0.5
+        x = np.where(big, 1e4 + rng.normal(size=big.shape),
+                     1e-3 * rng.random(big.shape)).astype(np.float32)
+        got = ad.box_sum(ad.constant(x), 3).data
+        assert got.dtype == np.float32
+        want = box_sum_naive(x.astype(np.float64), 3).astype(np.float32)
+        np.testing.assert_array_equal(got, want)
+
+
+class TestForwardDiff:
+    @pytest.mark.parametrize("axis", range(4))
+    def test_adjoint_identity(self, axis):
+        rng = np.random.default_rng(20 + axis)
+        x = rng.normal(size=(3, 4, 5, 6))
+        g = rng.normal(size=x.shape)
+        xt = ad.param("x", x)
+        with ad.Tape() as tape:
+            y = ad.forward_diff(xt, axis)
+            loss = ad.sum_all(ad.mul(y, ad.constant(g)))
+        grads = ad.backward(tape, loss)
+        lhs = np.vdot(y.data, g)
+        rhs = np.vdot(x, grads["x"])
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
 
 class TestInterpResize:
     def test_constant_preserved_up_and_down(self):
@@ -287,6 +315,32 @@ class TestInterpResize:
         lhs = np.vdot(y.data, g)
         rhs = np.vdot(x, grads["x"])
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    def test_adjoint_identity_downsizing(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 8, 6, 10))
+        g = rng.normal(size=(2, 5, 4, 7))
+        xt = ad.param("x", x)
+        with ad.Tape() as tape:
+            y = ad.interp_resize(xt, (5, 4, 7))
+            loss = ad.sum_all(ad.mul(y, ad.constant(g)))
+        grads = ad.backward(tape, loss)
+        lhs = np.vdot(y.data, g)
+        rhs = np.vdot(x, grads["x"])
+        assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    @pytest.mark.parametrize("in_shape, out_spatial", [
+        ((2, 3, 4, 5), (7, 8, 9)),          # upsizing, non-integer factors
+        ((2, 9, 8, 10), (4, 3, 6)),         # downsizing
+        ((1, 5, 6, 4), (5, 11, 3)),         # first axis unchanged
+        ((2, 3, 4, 3, 5), (6, 3, 10)),      # batched [B, C, D, H, W]
+    ])
+    def test_matches_naive_oracle(self, in_shape, out_spatial):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=in_shape)
+        got = ad.interp_resize(ad.constant(x), out_spatial).data
+        np.testing.assert_allclose(got, interp_resize_naive(x, out_spatial),
+                                   rtol=0, atol=1e-12)
 
 
 def test_determinism_repeated_runs():

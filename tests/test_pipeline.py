@@ -7,6 +7,7 @@ import pytest
 from moco4d import network as net
 from moco4d import phantom as ph
 from moco4d import train as tr
+from moco4d.errors import DimensionError
 from moco4d.network import NetVariant
 from moco4d.patlak import parametric_maps
 
@@ -83,3 +84,25 @@ def test_default_motion_bias_sign_depends_on_seed(phantom):
         moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=seed))
         bias.append(parametric_maps(moving, ifn, T_STAR).ki[tumor].mean() - free)
     assert bias[0] > 0.0 > bias[1]
+
+
+def test_training_lowers_loss_and_endpoint_error(phantom):
+    # three epochs over every window of the default series at lr 1e-3
+    spec, ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    cfg = config(epochs=3, learning_rate=1e-3, seed=0)
+    model, trace = tr.train(make_model(seed=1), VARIANT, [moving], cfg)
+    losses = [row[1] for row in trace]
+    assert len(losses) == 3
+    assert losses[1] < losses[0] and losses[2] < losses[1]
+    corrected, fields = tr.apply(model, moving, cfg)
+    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn, T_STAR)
+    assert report["endpoint_error_voxels"] < report["endpoint_error_no_correction"]
+
+
+def test_evaluate_rejects_wrong_true_field_count(phantom):
+    spec, ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=0))
+    for wrong in (true_fields[:-1], true_fields + true_fields[:1]):
+        with pytest.raises(DimensionError):
+            ph.evaluate_correction(moving, truth, wrong, wrong, spec, ifn, T_STAR)

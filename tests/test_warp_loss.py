@@ -142,6 +142,14 @@ class TestEndpointError:
             with pytest.raises(DimensionError):
                 endpoint_error([DisplacementField(est)], true)
 
+    def test_length_mismatch(self):
+        rng = np.random.default_rng(20)
+        true, est = self._fields(rng, 3, 2.5), self._fields(rng, 2, 2.0)
+        with pytest.raises(DimensionError):
+            endpoint_error(est, true)
+        with pytest.raises(DimensionError):
+            endpoint_error(true, est)
+
 
 class TestResampleField:
     def test_up_then_down_identity_on_constant(self):
