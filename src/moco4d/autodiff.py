@@ -73,15 +73,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
-    def check_finite(self):
-        """Explicit NaN/Inf detection; raises NumericError on non-finite values."""
-        if not _finite(self.data):
-            raise NumericError(f"non-finite values in tensor {self.name or self.op or '?'}")
-        return self
-
     def __repr__(self):
         tag = self.name or self.op or "tensor"
         return f"Tensor({tag}, shape={self.data.shape}, dtype={self.data.dtype})"
@@ -696,101 +687,3 @@ def backward(tape, loss):
             if parent.vjp is None and parent.name is not None:
                 by_name[parent.name] = grads[id(parent)]
     return by_name
-
-
-def grad_check(f, params, h=1e-4, samples=200, rng=None, min_grad=0.0,
-               refine=False, tol=1e-4, return_stats=False):
-    """Max relative error between analytic gradients and central differences.
-
-    `f(params) -> Tensor` must build a scalar under the active tape;
-    `params` is a dict name -> Tensor (float64 recommended). Up to `samples`
-    coordinates are drawn across all parameters. The relative error is
-    |analytic - numeric| / max(|analytic|, 1e-8).
-
-    With `min_grad` > 0, sampling stratifies across parameter tensors and
-    prefers coordinates whose analytic magnitude is at least `min_grad`
-    (falling back to each tensor's largest-magnitude entries), so the
-    relative-error metric is applied where an h-step stencil can resolve it.
-
-    With `refine`, a coordinate whose plain stencil misses `tol` is re-measured
-    at h/2. If the two stencils agree (numeric-only test), the Richardson
-    combination (4*n2 - n1)/3 cancels the h^2 truncation term and becomes the
-    oracle; if they disagree, the loss is not smooth enough there for a
-    finite-difference oracle at this h (activation or interpolation kink) and
-    the coordinate is replaced by another from the same tensor.
-    """
-    if h <= 0:
-        raise ValueError("grad_check: h must be positive")
-    rng = rng or np.random.default_rng(0)
-    with Tape() as tape:
-        loss = f(params)
-    if not _finite(loss.data):
-        raise NumericError("grad_check: non-finite loss")
-    grads = backward(tape, loss)
-
-    names = sorted(grads)
-    queues = {}
-    if min_grad > 0.0:
-        per = int(np.ceil(samples / len(names)))
-        for name in names:
-            mags = np.abs(grads[name].ravel())
-            big = np.flatnonzero(mags >= min_grad)
-            if big.size >= per:
-                order = rng.permutation(big)
-            else:
-                order = np.argsort(mags)[::-1]
-            queues[name] = [int(i) for i in order]
-        coords = []
-        for name in names:
-            coords.extend((name, i) for i in queues[name][:per])
-            queues[name] = queues[name][per:]
-    else:
-        flat_coords = []
-        for name in names:
-            flat_coords.extend((name, i) for i in range(params[name].data.size))
-        if len(flat_coords) > samples:
-            idx = rng.choice(len(flat_coords), size=samples, replace=False)
-            flat_coords = [flat_coords[i] for i in sorted(idx)]
-        coords = flat_coords
-        queues = {name: [] for name in names}
-
-    def central(name, flat, step):
-        p = params[name].data
-        orig = p.flat[flat]
-        p.flat[flat] = orig + step
-        f_hi = float(f(params).data)
-        p.flat[flat] = orig - step
-        f_lo = float(f(params).data)
-        p.flat[flat] = orig
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NumericError("grad_check: non-finite function value")
-        return (f_hi - f_lo) / (2.0 * step)
-
-    max_rel = 0.0
-    stats = {"checked": 0, "refined": 0, "resampled": 0}
-    pending = list(coords)
-    while pending:
-        name, flat = pending.pop(0)
-        analytic = float(grads[name].flat[flat])
-        n1 = central(name, flat, h)
-        rel = abs(analytic - n1) / max(abs(analytic), 1e-8)
-        if refine and rel > tol:
-            n2 = central(name, flat, h / 2.0)
-            agree = abs(n2 - n1) <= 0.05 * max(abs(n1), abs(n2), 1e-8)
-            if agree:
-                n_r = (4.0 * n2 - n1) / 3.0
-                rel = abs(analytic - n_r) / max(abs(analytic), 1e-8)
-                stats["refined"] += 1
-            elif queues.get(name):
-                # stencil disagreement: a kink sits inside the step; this
-                # coordinate has no finite-difference oracle at this h
-                pending.append((name, queues[name].pop(0)))
-                stats["resampled"] += 1
-                continue
-            else:
-                stats["refined"] += 1
-        max_rel = max(max_rel, rel)
-        stats["checked"] += 1
-    if return_stats:
-        return max_rel, stats
-    return max_rel

@@ -25,17 +25,13 @@ class LossConfig:
             raise ConfigurationError("ncc_epsilon must be positive")
 
 
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x))
-
-
 def local_ncc_map(a, b, cfg: LossConfig):
     """Per-voxel windowed correlation measure cov^2 / (var_a * var_b + eps).
 
     Windows are zero-padded with a fixed window count, so near-boundary
     windows include virtual zeros.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
     if a.shape != b.shape:
         raise DimensionError(f"local_ncc: shapes {a.shape} vs {b.shape}")
     if any(cfg.ncc_window > s for s in a.shape):
@@ -69,7 +65,7 @@ def smoothness(field):
     The far boundary difference is zero; the normalization is the total
     number of voxel sites times the nine component-derivatives.
     """
-    field = _as_tensor(field)
+    field = ad._as_tensor(field)
     if field.shape[0] != 3 or len(field.shape) != 4:
         raise DimensionError(f"smoothness: field must be [3,D,H,W], got {field.shape}")
     nvox = int(np.prod(field.shape[1:]))

@@ -37,7 +37,8 @@ from .errors import ConfigurationError, DimensionError
 
 LEVELS = 4
 DOWN_FACTOR = 2 ** LEVELS
-PAPER_EXTENTS = (128, 128, 256)
+LEAKY_SLOPE = 0.2
+FLOW_STD = 1e-5
 
 _ENCODER = [
     ("enc0", 2, 16, 1),
@@ -64,9 +65,6 @@ class NetVariant(str, Enum):
     B_CONVLSTM = "b_convlstm"
 
 
-RECURRENT_VARIANTS = (NetVariant.B_LSTM, NetVariant.S_CONVLSTM, NetVariant.B_CONVLSTM)
-
-
 @dataclass
 class FramePairSequence:
     """A reference volume plus the moving frames registered against it."""
@@ -90,7 +88,6 @@ class NetParams:
     convs: dict            # name -> (kernels Tensor, bias Tensor)
     cell: object = None    # ConvLstmParams / DenseLstmParams for recurrent variants
     restore: tuple = None  # B-LSTM channel-restore conv (kernels, bias)
-    leaky_slope: float = 0.2
     bottleneck_spatial: tuple = None  # fixed for B-LSTM only
 
     def named(self):
@@ -119,8 +116,7 @@ def _conv_param(rng, name, cin, cout, dtype, std=None):
             ad.param(f"{name}.b", np.zeros(cout, dtype=dtype)))
 
 
-def init_net_params(variant, rng, extents=None, dtype=np.float32,
-                    leaky_slope=0.2, flow_std=1e-5) -> NetParams:
+def init_net_params(variant, rng, extents=None, dtype=np.float32) -> NetParams:
     """Build a parameter set; `extents` is required only for the dense-LSTM
     variant (the flattened feature length depends on the working grid)."""
     variant = NetVariant(variant)
@@ -148,36 +144,8 @@ def init_net_params(variant, rng, extents=None, dtype=np.float32,
         restore = _conv_param(rng, "restore", 1, 32, dtype)
 
     flow_in = 32 if variant == NetVariant.S_CONVLSTM else 16
-    convs["flow"] = _conv_param(rng, "flow", flow_in, 3, dtype, std=flow_std)
-    return NetParams(variant, convs, cell, restore, leaky_slope, bottleneck_spatial)
-
-
-def count_params(params: NetParams) -> int:
-    """Exact number of scalar learnables in a constructed model."""
-    return int(sum(t.size for t in params.named().values()))
-
-
-def expected_param_count(variant, extents=PAPER_EXTENTS) -> int:
-    """Closed-form parameter count (no allocation); used to sanity-check
-    construction and to size the dense-LSTM variant without building it."""
-    variant = NetVariant(variant)
-
-    def conv(cin, cout, k=3):
-        return cout * (cin * k ** 3 + 1)
-
-    total = sum(conv(cin, cout) for _, cin, cout, _s in _ENCODER)
-    total += sum(conv(cin, cout) for _, cin, cout in _DECODER)
-    if variant == NetVariant.B_CONVLSTM:
-        total += 4 * (32 * 32 * 27 * 2 + 32)
-    elif variant == NetVariant.S_CONVLSTM:
-        total += conv(16, 16)                       # serial conv
-        total += 4 * (32 * 16 * 27 + 32 * 32 * 27 + 32)
-    elif variant == NetVariant.B_LSTM:
-        s = int(np.prod([e // DOWN_FACTOR for e in extents]))
-        total += 4 * (s * (32 * s) + s * s + s)
-        total += conv(1, 32)                        # channel restore
-    total += conv(32 if variant == NetVariant.S_CONVLSTM else 16, 3)
-    return total
+    convs["flow"] = _conv_param(rng, "flow", flow_in, 3, dtype, std=FLOW_STD)
+    return NetParams(variant, convs, cell, restore, bottleneck_spatial)
 
 
 def _check_extents(extents):
@@ -189,7 +157,7 @@ def _check_extents(extents):
 def _conv_block(params, name, x, stride):
     k, b = params.convs[name]
     y = ad.conv3d(x, k, b, stride=stride, padding=1)
-    return ad.leaky_relu(y, params.leaky_slope)
+    return ad.leaky_relu(y, LEAKY_SLOPE)
 
 
 def _encode(params, x):
@@ -258,7 +226,7 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
             maps.append(ad.reshape(state.h, (1, *spatial)))
         rk, rb = params.restore
         bottom = ad.leaky_relu(ad.conv3d(ad.stack_frames(maps), rk, rb, 1, 1),
-                               params.leaky_slope)
+                               LEAKY_SLOPE)
 
     feat = _decode(params, skips, bottom)
 
@@ -274,14 +242,11 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
     return [ad.select_frame(fields, t) for t in range(frames)]
 
 
-def estimate_displacements(params: NetParams, variant, seq: FramePairSequence):
-    """Inference entry point: one displacement array [3,D,H,W] per moving
-    frame, displacements in voxels of the input grid."""
-    variant = NetVariant(variant)
-    if variant != params.variant:
-        raise ConfigurationError(
-            f"params built for {params.variant.value}, requested {variant.value}")
-    if variant == NetVariant.PAIRWISE and len(seq) != 1:
+def estimate_displacements(params: NetParams, seq: FramePairSequence):
+    """Inference entry point for the variant `params` was built for: one
+    displacement array [3,D,H,W] per moving frame, displacements in voxels of
+    the input grid."""
+    if params.variant == NetVariant.PAIRWISE and len(seq) != 1:
         raise ConfigurationError("pairwise registration takes one moving frame at a time")
     fields = forward_fields(params, seq)
     return [f.data for f in fields]

@@ -56,9 +56,9 @@ class ParametricMaps:
     degenerate: np.ndarray
 
 
-def decay_weights(mid_times, durations, half_life=F18_HALF_LIFE_MIN) -> np.ndarray:
-    """Frame weights: duration times the physical-decay factor at mid-time."""
-    lam = np.log(2.0) / half_life
+def decay_weights(mid_times, durations) -> np.ndarray:
+    """Frame weights: duration times the F-18 decay factor at mid-time."""
+    lam = np.log(2.0) / F18_HALF_LIFE_MIN
     return np.asarray(durations, dtype=np.float64) * np.exp(-lam * np.asarray(mid_times))
 
 
@@ -120,7 +120,7 @@ def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
     if abs(det) <= 1e-12 * max(a11 * a22, 1e-300):
         degenerate[:] = True
         ki = np.zeros_like(mean_act)
-        vb = b2 / a22 if a22 > 0 else np.zeros_like(mean_act)
+        vb = np.zeros_like(mean_act)
     else:
         ki = (b1 * a22 - b2 * a12) / det
         vb = (a11 * b2 - a12 * b1) / det

@@ -1,6 +1,6 @@
 """Synthetic dynamic series with known kinetics and injectable inter-frame motion.
 
-The phantom paints ellipsoid/box regions (one tagged as the tumor) inside a
+The phantom paints ellipsoid regions (one tagged as the tumor) inside a
 body ellipsoid over an air background, generates frames from the graphical
 kinetic model driven by an analytic input function, and corrupts frames with
 seeded smooth displacement fields (local shifts plus radial expansion or
@@ -45,7 +45,9 @@ def sample_input_function(t_max=70.0, dt=0.05) -> InputFunction:
 
 @dataclass
 class Region:
-    kind: str                 # "ellipsoid" or "box"
+    """An ellipsoid with its center and per-axis radii in voxels, and its
+    region-mean kinetics."""
+
     center: tuple
     radii: tuple
     ki: float                 # region mean
@@ -54,8 +56,6 @@ class Region:
     peak: float = 1.0         # center-to-rim contrast of the radial profile
 
     def __post_init__(self):
-        if self.kind not in ("ellipsoid", "box"):
-            raise ConfigurationError(f"unknown region kind {self.kind!r}")
         if self.ki < 0 or self.vb < 0:
             raise ConfigurationError("region kinetics must be nonnegative")
         if self.peak < 1.0:
@@ -69,13 +69,7 @@ class Region:
         return dz * dz + dy * dy + dx * dx
 
     def mask(self, grid):
-        rho2 = self._rho2(grid)
-        if self.kind == "ellipsoid":
-            return rho2 <= 1.0
-        zz, yy, xx = np.ix_(*[np.arange(n) for n in grid])
-        return ((np.abs(zz - self.center[0]) <= self.radii[0])
-                & (np.abs(yy - self.center[1]) <= self.radii[1])
-                & (np.abs(xx - self.center[2]) <= self.radii[2]))
+        return self._rho2(grid) <= 1.0
 
     def profile(self, grid):
         """Radial profile over the region mask, normalized to mean 1, so the
@@ -103,13 +97,12 @@ class PhantomSpec:
         if self.body is None:
             c = tuple((n - 1) / 2.0 for n in self.grid)
             r = tuple(0.42 * n for n in self.grid)
-            self.body = Region("ellipsoid", c, r, self.background_ki,
-                               self.background_vb, tag="body")
+            self.body = Region(c, r, self.background_ki, self.background_vb, tag="body")
         if not self.regions:
             c = tuple((n - 1) / 2.0 for n in self.grid)
             # hot-core tumor: region-mean Ki at the motion-free reference
             # scale, with elevated blood volume in the same place
-            self.regions = [Region("ellipsoid", (c[0], c[1], c[2] - 4), (3.0, 3.0, 3.2),
+            self.regions = [Region((c[0], c[1], c[2] - 4), (3.0, 3.0, 3.2),
                                    0.0146, 0.09, tag=self.tumor_tag, peak=3.0)]
         for r in self.regions:
             for c, radius, n in zip(r.center, r.radii, self.grid):
@@ -165,9 +158,13 @@ def simulate_frames(spec: PhantomSpec, ifn: InputFunction, mid_times, durations,
 class MotionSpec:
     """Per-frame pseudo local shift plus radial expansion/contraction.
 
-    The radial factor is drawn from [expansion_low, expansion_high] in
-    pull-warp convention: negative values sample toward the center, which
-    enlarges objects. The default range is biased toward enlargement, but
+    Each frame but `reference_index` gets a Gaussian-windowed shift of up to
+    `max_shift_voxels` at a random site in the middle half of each axis, a
+    rigid translation of up to `rigid_voxels`, and a radial factor about the
+    volume center. The radial factor is drawn from
+    [expansion_low, expansion_high] in pull-warp convention: negative values
+    sample toward the center, which enlarges objects. The default range is
+    biased toward enlargement, but
     the local shift and the rigid jitter also move the hot region, so the
     sign of the uptake bias in the corrupted series depends on the seed: on
     the default phantom (motion-free tumor Ki mean 0.0146) seeds 0-3 give
@@ -177,10 +174,7 @@ class MotionSpec:
     rigid_voxels: float = 0.8           # whole-volume translation jitter
     expansion_low: float = -0.30
     expansion_high: float = -0.05
-    expansion_center: tuple = None      # defaults to the volume center
     shift_window_voxels: float = 4.0    # Gaussian extent of the local shift
-    shift_avoid_center: tuple = None    # keep shift sites out of this ball
-    shift_avoid_radius: float = 0.0
     seed: int = 0
     reference_index: int = 0
 
@@ -189,6 +183,8 @@ class MotionSpec:
             raise ConfigurationError("shift magnitude must be nonnegative")
         if self.expansion_low > self.expansion_high:
             raise ConfigurationError("expansion range is inverted")
+        if self.reference_index < 0:
+            raise ConfigurationError("reference_index must be nonnegative")
 
     @property
     def expansion_bound(self):
@@ -198,16 +194,9 @@ class MotionSpec:
 def _motion_field(grid, rng, motion: MotionSpec):
     zz, yy, xx = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in grid],
                              indexing="ij")
-    center = motion.expansion_center or tuple((n - 1) / 2.0 for n in grid)
-    # local shift: random vector scaled by a Gaussian window at a random site,
-    # resampled out of the exclusion ball when one is configured
-    for _ in range(64):
-        site = [rng.uniform(0.25 * n, 0.75 * n) for n in grid]
-        if motion.shift_avoid_center is None:
-            break
-        d2 = sum((s - c) ** 2 for s, c in zip(site, motion.shift_avoid_center))
-        if d2 > motion.shift_avoid_radius ** 2:
-            break
+    center = tuple((n - 1) / 2.0 for n in grid)
+    # local shift: random vector scaled by a Gaussian window at a random site
+    site = [rng.uniform(0.25 * n, 0.75 * n) for n in grid]
     u = rng.uniform(-motion.max_shift_voxels, motion.max_shift_voxels, size=3)
     g = np.exp(-((zz - site[0]) ** 2 + (yy - site[1]) ** 2 + (xx - site[2]) ** 2)
                / (2.0 * motion.shift_window_voxels ** 2))
@@ -216,7 +205,7 @@ def _motion_field(grid, rng, motion: MotionSpec):
     rigid = rng.uniform(-motion.rigid_voxels, motion.rigid_voxels, size=3)
     for a in range(3):
         field[a] += rigid[a]
-    # radial expansion/contraction about the configured center
+    # radial expansion/contraction about the volume center
     alpha = rng.uniform(motion.expansion_low, motion.expansion_high)
     field[0] += alpha * (zz - center[0])
     field[1] += alpha * (yy - center[1])
@@ -229,6 +218,10 @@ def inject_motion(series: FrameSeries, motion: MotionSpec):
 
     Returns (corrupted series, list of true corrupting DisplacementField, one
     per frame; the reference frame's field is zero)."""
+    if motion.reference_index >= series.frames:
+        raise ConfigurationError(
+            f"reference index {motion.reference_index} out of range for "
+            f"{series.frames} frames")
     rng = np.random.default_rng(motion.seed)
     grid = series.grid
     bound = (motion.max_shift_voxels + motion.rigid_voxels

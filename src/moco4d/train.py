@@ -3,7 +3,7 @@ application to full series."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,17 +18,23 @@ from .warping import DisplacementField, resample_field, warp
 
 @dataclass
 class TrainConfig:
+    """Settings shared by `train` and `apply`.
+
+    `loss` holds the objective's smoothness weight and NCC window. The network
+    sees the series mean-pooled by `downsample_factor`, with voxels above
+    `cutoff` (SUV) replaced by `cutoff` plus Gaussian noise of `noise_sigma`,
+    in windows of `window_length` frames (1 for pairwise) registered to frame
+    `reference_index`. `seed` drives that noise and the window order."""
+
     learning_rate: float = 1e-4
     epochs: int = 1
-    lam: float = 1.0
+    loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
     downsample_factor: int = 4
     cutoff: float = 2.5            # SUV
     noise_sigma: float = 0.01
     window_length: int = 5
     reference_index: int = 0
-    ncc_window: int = 9
-    ncc_epsilon: float = 1e-5
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.downsample_factor < 1 or self.cutoff <= 0:
@@ -39,10 +45,6 @@ class TrainConfig:
             raise ConfigurationError("window_length must be >= 1")
         if self.epochs < 0 or self.reference_index < 0:
             raise ConfigurationError("epochs and reference_index must be nonnegative")
-
-    def loss_config(self):
-        return LossConfig(lam=self.lam, ncc_window=self.ncc_window,
-                          ncc_epsilon=self.ncc_epsilon)
 
 
 @dataclass
@@ -152,27 +154,28 @@ def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
     return np.stack(worked), shape
 
 
-def train(model: net.NetParams, variant, series_list, cfg: TrainConfig,
-          frames=None, callback=None):
+def train(model: net.NetParams, variant, series_list, cfg: TrainConfig, frames=None):
     """Adam at batch size 1 over shuffled windows; returns (model, trace).
 
     The trace holds one row per epoch: (epoch, mean_loss, similarity_term,
-    smoothness_term). Deterministic under a fixed config."""
+    smoothness_term). Deterministic under a fixed config. Raises
+    ConfigurationError when the series give no training window."""
     variant = NetVariant(variant)
     if variant != model.variant:
         raise ConfigurationError(f"model is {model.variant.value}, requested {variant.value}")
     rng = np.random.default_rng(cfg.seed)
-    loss_cfg = cfg.loss_config()
 
     window_len = 1 if variant == NetVariant.PAIRWISE else cfg.window_length
-    eff_cfg = cfg if window_len == cfg.window_length else _with_window(cfg, window_len)
+    window_cfg = replace(cfg, window_length=window_len)
 
     all_windows = []
     for series in series_list:
         net_frames, _shape = _working_series(series, cfg, rng)
         worked = FrameSeries(net_frames, series.mid_times, series.durations,
                              series.voxel_size_mm)
-        all_windows.extend(make_windows(worked, eff_cfg, frames))
+        all_windows.extend(make_windows(worked, window_cfg, frames))
+    if not all_windows:
+        raise ConfigurationError("no training window: series_list is empty")
 
     params = model.named()
     adam = AdamState()
@@ -188,7 +191,7 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig,
                 warped = [warp(ad.constant(np.asarray(m)), f)
                           for m, f in zip(seq.moving, fields)]
                 loss, sim, smooth = loss_terms(ad.constant(np.asarray(seq.reference)),
-                                               warped, fields, loss_cfg)
+                                               warped, fields, cfg.loss)
             if not np.isfinite(loss.data):
                 raise NumericError(
                     f"non-finite loss at step {step} (similarity={sim}, smoothness={smooth})")
@@ -198,28 +201,23 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig,
             tot_sim += sim
             tot_smooth += smooth
             step += 1
-        n = max(len(all_windows), 1)
-        row = (epoch, tot_loss / n, tot_sim / n, tot_smooth / n)
-        trace.append(row)
-        if callback is not None:
-            callback(*row)
+        n = len(all_windows)
+        trace.append((epoch, tot_loss / n, tot_sim / n, tot_smooth / n))
     return model, trace
 
 
-def _with_window(cfg, window_len):
-    from dataclasses import replace
-    return replace(cfg, window_length=window_len)
-
-
-def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig, frames=None):
+def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
     """Estimate at working resolution, upsample the fields, warp the original
     frames; the reference frame passes through unmodified.
 
     Returns (corrected FrameSeries, list of full-resolution DisplacementField,
     one per frame; the reference frame's field is zero)."""
+    if cfg.reference_index >= series.frames:
+        raise ConfigurationError(
+            f"reference index {cfg.reference_index} out of range for {series.frames} frames")
     rng = np.random.default_rng(cfg.seed)
     net_frames, work_shape = _working_series(series, cfg, rng)
-    idx = list(frames) if frames is not None else list(range(series.frames))
+    idx = list(range(series.frames))
 
     window_len = 1 if model.variant == NetVariant.PAIRWISE else cfg.window_length
     chunks = []
@@ -240,7 +238,7 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig, frames=No
     assigned = set()
     for chunk in chunks:
         seq = FramePairSequence(ref, [net_frames[i] for i in chunk])
-        est = net.estimate_displacements(model, model.variant, seq)
+        est = net.estimate_displacements(model, seq)
         for i, fld in zip(chunk, est):
             if i in assigned:
                 continue
@@ -249,7 +247,7 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig, frames=No
             df = DisplacementField(work, tuple(np.asarray(series.voxel_size_mm)
                                                * cfg.downsample_factor))
             if cfg.downsample_factor > 1:
-                df = resample_field(df, cfg.downsample_factor, "up")
+                df = resample_field(df, cfg.downsample_factor)
             fields[i] = df
 
     corrected = np.array(series.data, copy=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,6 @@ class DisplacementField:
     def grid(self):
         return self.data.shape[1:]
 
-    def to_mm(self):
-        """Displacements in millimetres (reporting only)."""
-        sp = np.asarray(self.spacing_mm, dtype=self.data.dtype)
-        return self.data * sp[:, None, None, None]
-
 
 def warp(volume, field):
     """Trilinear pull-warp of a [D, H, W] volume, or of each channel of a
@@ -47,27 +42,14 @@ def warp(volume, field):
     return out if graph else out.data
 
 
-def resample_field(field: DisplacementField, factor: int, direction: str) -> DisplacementField:
-    """Trilinear field resampling with voxel-unit rescaling of magnitudes.
-
-    Upsampling by `factor` multiplies extents and displacement values by
-    `factor`; downsampling divides (extents must divide evenly).
+def resample_field(field: DisplacementField, factor: int) -> DisplacementField:
+    """Trilinear upsampling of a field by `factor` on every axis, from the
+    working grid back to a finer one: extents and displacement values (in
+    voxels) multiply by `factor`, the spacing divides by it.
     """
     if factor < 2:
         raise DimensionError(f"resample_field: factor must be >= 2, got {factor}")
-    if direction not in ("up", "down"):
-        raise DimensionError(f"resample_field: direction {direction!r}")
-    d, h, w = field.grid
-    if direction == "up":
-        target = (d * factor, h * factor, w * factor)
-        scale = float(factor)
-        new_spacing = tuple(s / factor for s in field.spacing_mm)
-    else:
-        if d % factor or h % factor or w % factor:
-            raise DimensionError(
-                f"resample_field: extents {field.grid} not divisible by {factor}")
-        target = (d // factor, h // factor, w // factor)
-        scale = 1.0 / factor
-        new_spacing = tuple(s * factor for s in field.spacing_mm)
-    out = ad.interp_resize(ad.constant(field.data), target).data * scale
+    target = tuple(n * factor for n in field.grid)
+    new_spacing = tuple(s / factor for s in field.spacing_mm)
+    out = ad.interp_resize(ad.constant(field.data), target).data * float(factor)
     return DisplacementField(out.astype(field.data.dtype, copy=False), new_spacing)

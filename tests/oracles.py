@@ -6,6 +6,10 @@ and direct formula transcriptions only.
 
 import numpy as np
 
+from moco4d.network import _DECODER, _ENCODER, DOWN_FACTOR, NetVariant
+
+PAPER_EXTENTS = (128, 128, 256)
+
 
 def conv3d_naive(x, k, b, stride=1, padding=0):
     """7-nested-loop direct correlation."""
@@ -180,3 +184,31 @@ def patlak_nfe_scalar(cum, cp, y, w, ki, vb):
     if den == 0.0:
         return float("nan")
     return float(num / den)
+
+
+def count_params(params) -> int:
+    """Exact number of scalar learnables in a constructed model."""
+    return int(sum(t.size for t in params.named().values()))
+
+
+def expected_param_count(variant, extents=PAPER_EXTENTS) -> int:
+    """Closed-form parameter count (no allocation); used to sanity-check
+    construction and to size the dense-LSTM variant without building it."""
+    variant = NetVariant(variant)
+
+    def conv(cin, cout, k=3):
+        return cout * (cin * k ** 3 + 1)
+
+    total = sum(conv(cin, cout) for _, cin, cout, _s in _ENCODER)
+    total += sum(conv(cin, cout) for _, cin, cout in _DECODER)
+    if variant == NetVariant.B_CONVLSTM:
+        total += 4 * (32 * 32 * 27 * 2 + 32)
+    elif variant == NetVariant.S_CONVLSTM:
+        total += conv(16, 16)                       # serial conv
+        total += 4 * (32 * 16 * 27 + 32 * 32 * 27 + 32)
+    elif variant == NetVariant.B_LSTM:
+        s = int(np.prod([e // DOWN_FACTOR for e in extents]))
+        total += 4 * (s * (32 * s) + s * s + s)
+        total += conv(1, 32)                        # channel restore
+    total += conv(32 if variant == NetVariant.S_CONVLSTM else 16, 3)
+    return total

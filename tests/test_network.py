@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from moco4d import autodiff as ad
 from moco4d import network as net
 from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.network import FramePairSequence, NetVariant
+
+from gradcheck import grad_check, make_gradcheck_instance, window_loss_fn
+from oracles import PAPER_EXTENTS, count_params, expected_param_count
 
 # pinned reference counts for the full-scale configuration
 REFERENCE_COUNTS = {
@@ -45,20 +47,20 @@ class TestCounts:
                                          NetVariant.S_CONVLSTM, NetVariant.B_CONVLSTM])
     def test_constructed_counts_match_reference(self, variant):
         params = net.init_net_params(variant, np.random.default_rng(0),
-                                     extents=net.PAPER_EXTENTS, dtype=np.float32)
-        assert net.count_params(params) == REFERENCE_COUNTS[variant]
+                                     extents=PAPER_EXTENTS, dtype=np.float32)
+        assert count_params(params) == REFERENCE_COUNTS[variant]
 
     def test_dense_lstm_reference_count_closed_form(self):
         # full-scale dense-LSTM weights are too large to allocate here; the
         # closed form is validated against construction at desk scale below
-        assert net.expected_param_count(NetVariant.B_LSTM,
-                                        net.PAPER_EXTENTS) == REFERENCE_COUNTS[NetVariant.B_LSTM]
+        assert expected_param_count(NetVariant.B_LSTM,
+                                    PAPER_EXTENTS) == REFERENCE_COUNTS[NetVariant.B_LSTM]
 
     @pytest.mark.parametrize("variant", list(NetVariant))
     def test_closed_form_matches_construction_at_desk_scale(self, variant):
         extents = (16, 16, 32)
         params = make_params(variant, extents=extents, dtype=np.float32)
-        assert net.count_params(params) == net.expected_param_count(variant, extents)
+        assert count_params(params) == expected_param_count(variant, extents)
 
 
 class TestShapes:
@@ -69,7 +71,7 @@ class TestShapes:
         seq = FramePairSequence(rng.normal(size=extents).astype(np.float32),
                                 [rng.normal(size=extents).astype(np.float32)
                                  for _ in range(3)])
-        fields = net.estimate_displacements(params, NetVariant.MULTI_FRAME, seq)
+        fields = net.estimate_displacements(params, seq)
         assert len(fields) == 3
         for f in fields:
             assert f.shape == (3, *extents)
@@ -79,14 +81,7 @@ class TestShapes:
         seq = FramePairSequence(np.zeros((20, 16, 16), dtype=np.float32),
                                 [np.zeros((20, 16, 16), dtype=np.float32)])
         with pytest.raises(DimensionError):
-            net.estimate_displacements(params, NetVariant.PAIRWISE, seq)
-
-    def test_variant_params_mismatch_rejected(self):
-        params = make_params(NetVariant.PAIRWISE, dtype=np.float32)
-        seq = FramePairSequence(np.zeros((16, 16, 16), dtype=np.float32),
-                                [np.zeros((16, 16, 16), dtype=np.float32)])
-        with pytest.raises(ConfigurationError):
-            net.estimate_displacements(params, NetVariant.B_CONVLSTM, seq)
+            net.estimate_displacements(params, seq)
 
     def test_zero_flow_head_gives_zero_fields(self):
         params = zero_flow_head(make_params(NetVariant.B_CONVLSTM, dtype=np.float32))
@@ -94,7 +89,7 @@ class TestShapes:
         seq = FramePairSequence(rng.normal(size=(16, 16, 16)).astype(np.float32),
                                 [rng.normal(size=(16, 16, 16)).astype(np.float32)
                                  for _ in range(2)])
-        for f in net.estimate_displacements(params, NetVariant.B_CONVLSTM, seq):
+        for f in net.estimate_displacements(params, seq):
             assert np.all(f == 0.0)
 
 
@@ -111,10 +106,8 @@ class TestEquivalences:
         rng = np.random.default_rng(4)
         ref = rng.normal(size=extents)
         mov = rng.normal(size=extents)
-        f_pw = net.estimate_displacements(pw, NetVariant.PAIRWISE,
-                                          FramePairSequence(ref, [mov]))[0]
-        fs_mf = net.estimate_displacements(mf, NetVariant.MULTI_FRAME,
-                                           FramePairSequence(ref, [mov] * 5))
+        f_pw = net.estimate_displacements(pw, FramePairSequence(ref, [mov]))[0]
+        fs_mf = net.estimate_displacements(mf, FramePairSequence(ref, [mov] * 5))
         # identical rows of one batch are bit-identical to each other; the
         # single-frame pass reassociates GEMM sums, so compare at 1e-12
         for f in fs_mf[1:]:
@@ -127,12 +120,10 @@ class TestEquivalences:
         rng = np.random.default_rng(6)
         ref = rng.normal(size=extents)
         movs = [rng.normal(size=extents) for _ in range(4)]
-        fields = net.estimate_displacements(params, NetVariant.MULTI_FRAME,
-                                            FramePairSequence(ref, movs))
+        fields = net.estimate_displacements(params, FramePairSequence(ref, movs))
         perm = [2, 0, 3, 1]
         fields_p = net.estimate_displacements(
-            params, NetVariant.MULTI_FRAME,
-            FramePairSequence(ref, [movs[i] for i in perm]))
+            params, FramePairSequence(ref, [movs[i] for i in perm]))
         for j, i in enumerate(perm):
             np.testing.assert_array_equal(fields_p[j], fields[i])
 
@@ -143,10 +134,8 @@ class TestEquivalences:
         mid_cell_flow_head(params, rng, kernel_std=0.05)
         ref = rng.normal(size=extents)
         movs = [rng.normal(size=extents) for _ in range(3)]
-        f_fwd = net.estimate_displacements(params, NetVariant.B_CONVLSTM,
-                                           FramePairSequence(ref, movs))
-        f_rev = net.estimate_displacements(params, NetVariant.B_CONVLSTM,
-                                           FramePairSequence(ref, movs[::-1]))
+        f_fwd = net.estimate_displacements(params, FramePairSequence(ref, movs))
+        f_rev = net.estimate_displacements(params, FramePairSequence(ref, movs[::-1]))
         # the last frame of the reversed window is the first of the forward one
         assert not np.allclose(f_rev[-1], f_fwd[0])
 
@@ -154,19 +143,17 @@ class TestEquivalences:
         params = make_params(NetVariant.PAIRWISE)
         seq = FramePairSequence(np.zeros((16, 16, 16)), [np.zeros((16, 16, 16))] * 2)
         with pytest.raises(ConfigurationError):
-            net.estimate_displacements(params, NetVariant.PAIRWISE, seq)
+            net.estimate_displacements(params, seq)
 
 
 class TestGradients:
     @pytest.mark.parametrize("variant", [NetVariant.B_CONVLSTM, NetVariant.S_CONVLSTM,
                                          NetVariant.B_LSTM])
     def test_end_to_end_gradient_small(self, variant):
-        from moco4d.verify import make_gradcheck_instance, window_loss_fn
-
         params, seq, cfg = make_gradcheck_instance(extents=(16, 16, 16), frames=2,
                                                    seed=21, variant=variant)
         f = window_loss_fn(params, seq, cfg)
-        err = ad.grad_check(f, params.named(), h=1e-4, samples=40,
-                            rng=np.random.default_rng(0), min_grad=1e-3,
-                            refine=True, tol=1e-4)
+        err = grad_check(f, params.named(), h=1e-4, samples=40,
+                         rng=np.random.default_rng(0), min_grad=1e-3,
+                         refine=True, tol=1e-4)
         assert err <= 1e-4

@@ -7,9 +7,10 @@ import pytest
 from moco4d import network as net
 from moco4d import phantom as ph
 from moco4d import train as tr
-from moco4d.errors import DimensionError
+from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.network import NetVariant
 from moco4d.patlak import parametric_maps
+from moco4d.warping import warp
 
 VARIANT = NetVariant.B_CONVLSTM
 T_STAR = 20.0
@@ -106,3 +107,52 @@ def test_evaluate_rejects_wrong_true_field_count(phantom):
     for wrong in (true_fields[:-1], true_fields + true_fields[:1]):
         with pytest.raises(DimensionError):
             ph.evaluate_correction(moving, truth, wrong, wrong, spec, ifn, T_STAR)
+
+
+def test_apply_on_a_downsampled_grid():
+    # working grid 16x16x24, padded to 16x16x32 for the U-Net, cropped back
+    # and upsampled to 32x32x48
+    spec = ph.PhantomSpec(grid=(32, 32, 48))
+    truth = ph.simulate_frames(spec, ph.sample_input_function(), *ph.default_frame_times())
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    cfg = tr.TrainConfig(downsample_factor=2)
+    model = make_model()
+    k, b = model.convs["flow"]
+    k.data[:] = 0.0
+    b.data[:] = (0.25, 0.0, 0.0)
+    corrected, fields = tr.apply(model, moving, cfg)
+    want = np.zeros((3, 32, 32, 48), dtype=np.float32)
+    want[0] = 0.5
+    for i in range(moving.frames):
+        if i == cfg.reference_index:
+            continue
+        np.testing.assert_array_equal(fields[i].data, want)
+        np.testing.assert_array_equal(corrected.data[i], warp(moving.data[i], fields[i].data))
+
+    b.data[:] = 0.0
+    corrected, _ = tr.apply(model, moving, cfg)
+    np.testing.assert_array_equal(corrected.data, moving.data)
+    with pytest.raises(DimensionError):
+        tr.apply(model, moving, tr.TrainConfig(downsample_factor=3))
+
+
+def test_motion_rejects_negative_reference_index():
+    with pytest.raises(ConfigurationError):
+        ph.MotionSpec(reference_index=-1)
+
+
+def test_inject_motion_rejects_reference_index_past_last_frame(phantom):
+    _spec, _ifn, truth = phantom
+    with pytest.raises(ConfigurationError):
+        ph.inject_motion(truth, ph.MotionSpec(reference_index=truth.frames))
+
+
+def test_apply_rejects_reference_index_past_last_frame(phantom):
+    _spec, _ifn, truth = phantom
+    with pytest.raises(ConfigurationError):
+        tr.apply(make_model(), truth, config(reference_index=truth.frames))
+
+
+def test_train_rejects_no_windows():
+    with pytest.raises(ConfigurationError):
+        tr.train(make_model(), VARIANT, [], config(epochs=2))
