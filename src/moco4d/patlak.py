@@ -19,6 +19,9 @@ F18_HALF_LIFE_MIN = 109.77
 # a voxel whose mean activity past t* is at most this fraction of the series
 # maximum is background and flagged degenerate
 ACTIVITY_FLOOR = 1e-6
+# voxels fitted together: the [n_frames, block] float64 temporaries of one
+# block stay small, whatever the volume
+_PATLAK_BLOCK_VOXELS = 16384
 
 
 @dataclass
@@ -85,7 +88,8 @@ def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
 
     `weights` holds one positive weight per frame, or per frame past t*; it
     defaults to `decay_weights`. The fit is vectorized: the design matrix is
-    shared by all voxels, only the right-hand side varies. A single
+    shared by all voxels, only the right-hand side varies; it and the NFE
+    run one block of `_PATLAK_BLOCK_VOXELS` voxels at a time. A single
     time-activity curve is a 1-voxel series."""
     sel = series.mid_times >= t_star
     n = int(sel.sum())
@@ -105,35 +109,31 @@ def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
     if np.any(x2 <= 0):
         raise ConfigurationError("input function must be positive at fitted frames")
 
-    grid = series.grid
-    y = series.data[sel].reshape(n, -1).astype(np.float64)  # [n, V]
-
     a11 = np.sum(wv * x1 * x1)
     a12 = np.sum(wv * x1 * x2)
     a22 = np.sum(wv * x2 * x2)
-    b1 = (wv * x1) @ y
-    b2 = (wv * x2) @ y
     det = a11 * a22 - a12 * a12
-
-    mean_act = y.mean(axis=0)
-    degenerate = mean_act <= ACTIVITY_FLOOR * max(float(series.data.max()), 1e-300)
-    if abs(det) <= 1e-12 * max(a11 * a22, 1e-300):
-        degenerate[:] = True
-        ki = np.zeros_like(mean_act)
-        vb = np.zeros_like(mean_act)
-    else:
-        ki = (b1 * a22 - b2 * a12) / det
-        vb = (a11 * b2 - a12 * b1) / det
-    ki[degenerate] = 0.0
-    vb[degenerate] = 0.0
-
-    y_hat = np.outer(x1, ki) + np.outer(x2, vb)
-    num = wv @ (y_hat - y) ** 2
-    den = (n - 2) * np.sum((wv[:, None] * y / n) ** 2, axis=0)
-    bad = den == 0.0
-    nfe_map = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
-    degenerate = degenerate | bad
-    nfe_map[degenerate] = 0.0
-
-    return ParametricMaps(ki.reshape(grid), vb.reshape(grid),
-                          nfe_map.reshape(grid), degenerate.reshape(grid))
+    floor = ACTIVITY_FLOOR * max(float(series.data.max()), 1e-300)
+    frames = series.data.reshape(series.frames, -1)
+    size = frames.shape[1]
+    ki, vb, nfe_map = np.zeros(size), np.zeros(size), np.zeros(size)
+    degenerate = np.ones(size, dtype=bool)
+    singular = abs(det) <= 1e-12 * max(a11 * a22, 1e-300)   # all degenerate
+    for v0 in range(0, 0 if singular else size, _PATLAK_BLOCK_VOXELS):
+        blk = slice(v0, min(v0 + _PATLAK_BLOCK_VOXELS, size))
+        y = frames[sel, blk].astype(np.float64)     # [n, block]
+        b1 = (wv * x1) @ y
+        b2 = (wv * x2) @ y
+        deg = y.mean(axis=0) <= floor
+        k = (b1 * a22 - b2 * a12) / det
+        v = (a11 * b2 - a12 * b1) / det
+        k[deg] = v[deg] = 0.0
+        y_hat = np.outer(x1, k) + np.outer(x2, v)
+        num = wv @ (y_hat - y) ** 2
+        den = (n - 2) * np.sum((wv[:, None] * y / n) ** 2, axis=0)
+        bad = den == 0.0
+        deg |= bad
+        nfe = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
+        nfe[deg] = 0.0
+        ki[blk], vb[blk], nfe_map[blk], degenerate[blk] = k, v, nfe, deg
+    return ParametricMaps(*(m.reshape(series.grid) for m in (ki, vb, nfe_map, degenerate)))

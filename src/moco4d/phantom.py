@@ -192,8 +192,7 @@ class MotionSpec:
 
 
 def _motion_field(grid, rng, motion: MotionSpec):
-    zz, yy, xx = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in grid],
-                             indexing="ij")
+    zz, yy, xx = np.ix_(*[np.arange(n, dtype=np.float64) for n in grid])
     center = tuple((n - 1) / 2.0 for n in grid)
     # local shift: random vector scaled by a Gaussian window at a random site
     site = [rng.uniform(0.25 * n, 0.75 * n) for n in grid]
@@ -261,8 +260,9 @@ def endpoint_error(est_fields, true_fields):
         if est.data.any():
             # sample the true field at the correction's landing points
             est64 = est.data.astype(np.float64)
-            resid = est64 + warp(resid, est64)
-        mag = np.sqrt(np.sum(resid ** 2, axis=0))
+            resid = warp(resid, est64)
+            resid += est64
+        mag = np.sqrt(np.square(resid, out=resid).sum(axis=0))
         total += float(mag.sum())
         count += mag.size
     return total / max(count, 1)
@@ -270,17 +270,25 @@ def endpoint_error(est_fields, true_fields):
 
 def _condition_metrics(series, ifn, t_star, body, tumor_mask):
     maps = parametric_maps(series, ifn, t_star)
-    ok = body & ~maps.degenerate
-    nfe_vals = maps.nfe[ok]
+    nfe_vals = maps.nfe[body & ~maps.degenerate]
     ki_mean, ki_max, _ = roi_stats(maps.ki, tumor_mask)
+    ki, vb = maps.ki[body], maps.vb[body]
     return {
         "nfe_mean": float(nfe_vals.mean()) if nfe_vals.size else float("nan"),
         "nfe_max": float(nfe_vals.max()) if nfe_vals.size else float("nan"),
         "ki_mean": ki_mean,
         "ki_max": ki_max,
-        "ki_vb_nmi": nmi(maps.ki[body], maps.vb[body]),
-        "ki_vb_ncc": global_ncc(maps.ki[body], maps.vb[body]),
-    }, maps
+        "ki_vb_nmi": nmi(ki, vb),
+        "ki_vb_ncc": global_ncc(ki, vb),
+    }
+
+
+def _motion_series(truth: FrameSeries, true_fields):
+    """The truth warped frame by frame by the true fields."""
+    data = np.empty_like(truth.data)
+    for t, fld in enumerate(true_fields):
+        data[t] = warp(truth.data[t], fld.data) if fld.data.any() else truth.data[t]
+    return truth.with_data(data)
 
 
 def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
@@ -292,18 +300,16 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
         raise DimensionError("corrected/truth grids differ")
     if len(true_fields) != truth.frames:
         raise DimensionError(f"{len(true_fields)} true fields for {truth.frames} frames")
-    _ki, _vb, body = spec.kinetic_maps()
+    body = spec.body.mask(spec.grid)
     tumor = spec.region_mask(spec.tumor_tag)
 
-    motion = truth.with_data(np.stack([
-        warp(truth.data[t], true_fields[t].data) if true_fields[t].data.any()
-        else truth.data[t].copy()
-        for t in range(truth.frames)]))
-
-    report = {}
-    for name, series in (("motion_free", truth), ("motion", motion),
-                         ("corrected", corrected)):
-        report[name], _maps = _condition_metrics(series, ifn, t_star, body, tumor)
+    # the motion series and each condition's maps are dropped once measured
+    report = {
+        "motion_free": _condition_metrics(truth, ifn, t_star, body, tumor),
+        "motion": _condition_metrics(_motion_series(truth, true_fields), ifn, t_star,
+                                     body, tumor),
+        "corrected": _condition_metrics(corrected, ifn, t_star, body, tumor),
+    }
     report["endpoint_error_voxels"] = endpoint_error(est_fields, true_fields)
     zero = np.zeros_like(true_fields[0].data)     # read only, shared by every frame
     report["endpoint_error_no_correction"] = endpoint_error(

@@ -120,25 +120,19 @@ def crop_to(vol, shape):
     return vol[tuple(slice(0, s) for s in shape)]
 
 
-def make_windows(series: FrameSeries, cfg: TrainConfig, frames=None):
-    """All consecutive windows of `window_length` over the correctable frames,
-    each paired with the fixed reference frame.
-
-    `frames` restricts the correctable range (defaults to every frame); the
-    reference frame may itself appear as a moving frame.
+def make_windows(series: FrameSeries, cfg: TrainConfig):
+    """All consecutive windows of `window_length` over the frames, each paired
+    with the fixed reference frame; the reference frame may itself appear as a
+    moving frame.
     """
-    idx = list(frames) if frames is not None else list(range(series.frames))
     if cfg.reference_index >= series.frames:
         raise ConfigurationError(f"reference index {cfg.reference_index} out of range")
-    if len(idx) < cfg.window_length:
+    if series.frames < cfg.window_length:
         raise ConfigurationError(
-            f"{len(idx)} correctable frames < window length {cfg.window_length}")
+            f"{series.frames} frames < window length {cfg.window_length}")
     ref = series.data[cfg.reference_index]
-    windows = []
-    for start in range(len(idx) - cfg.window_length + 1):
-        members = idx[start:start + cfg.window_length]
-        windows.append(FramePairSequence(ref, [series.data[i] for i in members]))
-    return windows
+    return [FramePairSequence(ref, list(series.data[start:start + cfg.window_length]))
+            for start in range(series.frames - cfg.window_length + 1)]
 
 
 def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
@@ -154,7 +148,7 @@ def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
     return np.stack(worked), shape
 
 
-def train(model: net.NetParams, variant, series_list, cfg: TrainConfig, frames=None):
+def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
     """Adam at batch size 1 over shuffled windows; returns (model, trace).
 
     The trace holds one row per epoch: (epoch, mean_loss, similarity_term,
@@ -173,7 +167,7 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig, frames=N
         net_frames, _shape = _working_series(series, cfg, rng)
         worked = FrameSeries(net_frames, series.mid_times, series.durations,
                              series.voxel_size_mm)
-        all_windows.extend(make_windows(worked, window_cfg, frames))
+        all_windows.extend(make_windows(worked, window_cfg))
     if not all_windows:
         raise ConfigurationError("no training window: series_list is empty")
 

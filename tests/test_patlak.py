@@ -1,11 +1,14 @@
 """Kinetic fitting: quadrature, weighted LS recovery, NFE, alignment metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.metrics import global_ncc, nmi, roi_stats
-from moco4d.patlak import InputFunction, cumulative_input, decay_weights, parametric_maps
+from moco4d.patlak import (_PATLAK_BLOCK_VOXELS, InputFunction, cumulative_input,
+                           decay_weights, parametric_maps)
 from moco4d.series import FrameSeries
 
 from oracles import patlak_nfe_scalar, patlak_wls_scalar, pearson_naive
@@ -245,6 +248,55 @@ class TestParametricMaps:
         ki, vb, _deg = patlak_wls_scalar(cumulative_input(ifn, mids), ifn.at(mids), y, w)
         assert maps.ki[v] == pytest.approx(ki, rel=1e-6)
         assert maps.vb[v] == pytest.approx(vb, rel=1e-5)
+
+    def test_blocks_match_scalar_fit_per_voxel(self):
+        # three voxel blocks, the last one partial, with background voxels
+        rng = np.random.default_rng(5)
+        ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.05)
+        mids = np.linspace(22.5, 57.5, 8)
+        shape = (3, 100, 120)
+        size = int(np.prod(shape))
+        assert 2 * _PATLAK_BLOCK_VOXELS < size < 3 * _PATLAK_BLOCK_VOXELS
+        ki_map = rng.uniform(0.001, 0.03, shape)
+        vb_map = rng.uniform(0.02, 0.1, shape)
+        ki_map[:, :10] = vb_map[:, :10] = 0.0
+        clean = self._series(ki_map, vb_map, ifn, mids)
+        noisy = clean.with_data(clean.data + rng.normal(0.0, 0.01, clean.data.shape)
+                                .astype(np.float32) * (ki_map > 0))
+        maps = parametric_maps(noisy, ifn, 20.0)
+        w = decay_weights(mids, np.full(8, 5.0))
+        cum, cp = cumulative_input(ifn, mids), ifn.at(mids)
+        edges = [v0 + d for v0 in range(0, size, _PATLAK_BLOCK_VOXELS) for d in (-1, 0)]
+        picks = sorted(set(edges[1:]) | set(range(0, size, 97)) | {size - 1})
+        for flat in picks:
+            v = np.unravel_index(flat, shape)
+            y = noisy.data[(slice(None),) + v].astype(np.float64)
+            if not y.any():
+                assert maps.degenerate[v] and maps.ki[v] == maps.nfe[v] == 0.0
+                continue
+            ki, vb, deg = patlak_wls_scalar(cum, cp, y, w)
+            assert not deg and not maps.degenerate[v]
+            assert maps.ki[v] == pytest.approx(ki, rel=1e-6)
+            assert maps.vb[v] == pytest.approx(vb, rel=1e-5)
+            nfe = patlak_nfe_scalar(cum, cp, y, w, maps.ki[v], maps.vb[v])
+            assert maps.nfe[v] == pytest.approx(nfe, rel=1e-9)
+
+    def test_peak_memory_is_maps_plus_a_few_blocks(self):
+        ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.05)
+        mids = np.linspace(22.5, 57.5, 8)
+        rng = np.random.default_rng(6)
+        data = rng.uniform(0.5, 2.0, (8, 64, 64, 128)).astype(np.float32)
+        series = FrameSeries(data, mids, np.full(8, 5.0))
+        size = data[0].size
+        maps_bytes = 3 * 8 * size + size           # ki, vb, nfe and the mask
+        block_bytes = 8 * 8 * _PATLAK_BLOCK_VOXELS  # one [n_frames, block] float64
+        tracemalloc.start()
+        try:
+            parametric_maps(series, ifn, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < maps_bytes + 8 * block_bytes
 
     def test_weights_validated(self):
         ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.05)

@@ -10,6 +10,7 @@ from moco4d import train as tr
 from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.network import NetVariant
 from moco4d.patlak import parametric_maps
+from moco4d.series import FrameSeries
 from moco4d.warping import warp
 
 VARIANT = NetVariant.B_CONVLSTM
@@ -61,12 +62,14 @@ def test_reference_frame_passes_through_with_zero_field(phantom):
 
 
 def test_train_is_bit_deterministic(phantom):
-    # one epoch over the single 5-frame window of the first five frames
+    # one epoch over the single window of a series cut to its first five frames
     _spec, _ifn, truth = phantom
     moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    first5 = FrameSeries(moving.data[:5], moving.mid_times[:5], moving.durations[:5],
+                         moving.voxel_size_mm)
     cfg = config(epochs=1, seed=3)
-    (m1, trace1), (m2, trace2) = [tr.train(make_model(), VARIANT, [moving], cfg,
-                                           frames=range(5)) for _ in range(2)]
+    (m1, trace1), (m2, trace2) = [tr.train(make_model(), VARIANT, [first5], cfg)
+                                  for _ in range(2)]
     assert len(trace1) == 1
     assert trace1 == trace2
     p0, p1, p2 = make_model().named(), m1.named(), m2.named()

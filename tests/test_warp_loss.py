@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moco4d import autodiff as ad
-from moco4d.errors import DimensionError
+from moco4d.errors import DimensionError, NumericError
 from moco4d.losses import LossConfig, local_ncc, local_ncc_map, loss_terms, smoothness
 from moco4d.phantom import endpoint_error
 from moco4d.warping import DisplacementField, resample_field, warp
@@ -100,6 +100,55 @@ class TestWarp:
             warp(np.zeros((1, 2, 4, 4, 4)), np.zeros((3, 4, 4, 4)))
         with pytest.raises(DimensionError):
             warp(np.zeros((2, 4, 4, 4)), np.zeros((3, 4, 4, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        field = np.zeros((3, 4, 5, 6))
+        field[1, 2, 3, 4] = bad
+        with pytest.raises(NumericError):
+            ad.warp(np.ones((4, 5, 6)), field)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_samples_match_trilinear_oracle(self, dtype):
+        # sample positions exactly at the clamp bounds -2 and n, at the volume
+        # edges -1 and n - 1, half a voxel in, and far beyond either side
+        grid = (5, 6, 7)
+        rng = np.random.default_rng(21)
+        vol = -np.abs(rng.normal(size=grid)).astype(dtype) - 0.5
+        field = np.zeros((3, *grid))
+        for a, n in enumerate(grid):
+            targets = np.array([-2.0, -1.0, n - 1.0, n - 0.5, n, -n - 0.5, 2.0 * n,
+                                -2.5, n + 0.5, 1.25])
+            coord = np.arange(n).reshape([-1 if i == a else 1 for i in range(3)])
+            field[a] = rng.choice(targets, size=grid) - coord
+        field = field.astype(dtype)
+        got, want = warp(vol, field), warp_trilinear_naive(vol, field)
+        if dtype == np.float32:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_field_grad_beyond_the_volume_edges(self):
+        # samples in (-2, -1) and past n have both neighbours outside the
+        # volume: a zero field gradient; those in (-1, 0) and (n - 1, n)
+        # keep one neighbour inside
+        grid = (4, 5, 6)
+        rng = np.random.default_rng(22)
+        vol = rng.normal(size=grid)
+        field = np.zeros((3, *grid))
+        for a, n in enumerate(grid):
+            targets = np.array([-1.7, -1.3, -0.6, -0.3, n - 0.7, n - 0.2, n + 0.4,
+                                n + 1.6, 1.4])
+            coord = np.arange(n).reshape([-1 if i == a else 1 for i in range(3)])
+            field[a] = rng.choice(targets, size=grid) - coord
+        weights = ad.constant(rng.normal(size=grid))
+        params = {"field": ad.param("field", field)}
+
+        def f(p):
+            return ad.sum_all(ad.mul(warp(ad.constant(vol), p["field"]), weights))
+
+        err = grad_check(f, params, h=1e-4, samples=field.size, rng=rng)
+        assert err <= 1e-6
 
 
 def _endpoint_error_per_component(est_fields, true_fields):
