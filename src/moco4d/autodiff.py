@@ -102,9 +102,9 @@ class Tensor:
         return mul(self, -1.0)
 
 
-def param(name, data, requires_grad=True):
+def param(name, data):
     """A named leaf tensor; gradients are reported per parameter name."""
-    return Tensor(np.asarray(data), name=name, requires_grad=requires_grad)
+    return Tensor(np.asarray(data), name=name, requires_grad=True)
 
 
 def constant(data):

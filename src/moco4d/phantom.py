@@ -1,15 +1,15 @@
 """Synthetic dynamic series with known kinetics and injectable inter-frame motion.
 
-The phantom paints ellipsoid regions (one tagged as the tumor) inside a
-body ellipsoid over an air background, generates frames from the graphical
-kinetic model driven by an analytic input function, and corrupts frames with
-seeded smooth displacement fields (local shifts plus radial expansion or
-contraction) while keeping the ground truth.
+The phantom paints a hot-core tumor ellipsoid inside a body ellipsoid over
+an air background, generates frames from the graphical kinetic model driven
+by an analytic input function, and corrupts frames with seeded smooth
+displacement fields (local shifts plus radial expansion or contraction) while
+keeping the ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,24 @@ IFN_PEAK_TAU = 0.8          # min
 IFN_WASHOUT_AMPLITUDE = 2.5
 IFN_WASHOUT_TAU = 80.0      # min
 IFN_RISE_TAU = 1.2          # min
+IFN_T_MAX = 70.0            # min, end of the dense sampling
+IFN_DT = 0.05               # min, sampling step
+
+# phantom: an air background, the body ellipsoid and one hot-core tumor
+VOXEL_SIZE_MM = (8.0, 8.0, 8.0)
+BACKGROUND_KI = 0.002       # body
+BACKGROUND_VB = 0.05        # body
+
+# frames: consecutive late frames, all past t*=20
+FRAME_START_MID = 22.5      # min
+FRAME_SPACING = 5.0         # min, also each frame's duration
+
+# motion: see MotionSpec
+MAX_SHIFT_VOXELS = 2.0
+RIGID_VOXELS = 0.8          # whole-volume translation jitter
+EXPANSION_LOW = -0.30
+EXPANSION_HIGH = -0.05
+SHIFT_WINDOW_VOXELS = 4.0   # Gaussian extent of the local shift
 
 
 def analytic_input_function(t):
@@ -37,9 +55,10 @@ def analytic_input_function(t):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_input_function(t_max=70.0, dt=0.05) -> InputFunction:
-    """Dense sampling of the analytic curve for trapezoidal integration."""
-    times = np.arange(0.0, t_max + dt / 2, dt)
+def sample_input_function() -> InputFunction:
+    """Dense sampling of the analytic curve, every IFN_DT up to IFN_T_MAX, for
+    trapezoidal integration."""
+    times = np.arange(0.0, IFN_T_MAX + IFN_DT / 2, IFN_DT)
     return InputFunction(times, analytic_input_function(times))
 
 
@@ -52,14 +71,7 @@ class Region:
     radii: tuple
     ki: float                 # region mean
     vb: float                 # region mean
-    tag: str = ""
     peak: float = 1.0         # center-to-rim contrast of the radial profile
-
-    def __post_init__(self):
-        if self.ki < 0 or self.vb < 0:
-            raise ConfigurationError("region kinetics must be nonnegative")
-        if self.peak < 1.0:
-            raise ConfigurationError("profile peak must be >= 1")
 
     def _rho2(self, grid):
         zz, yy, xx = np.ix_(*[np.arange(n) for n in grid])
@@ -75,8 +87,6 @@ class Region:
         """Radial profile over the region mask, normalized to mean 1, so the
         region mean of ki/vb stays at the configured value."""
         m = self.mask(grid)
-        if self.peak == 1.0:
-            return m.astype(np.float64), m
         shape = 1.0 + (self.peak - 1.0) * np.exp(-4.0 * self._rho2(grid))
         shape = shape * m
         mean = shape[m].mean()
@@ -85,127 +95,96 @@ class Region:
 
 @dataclass
 class PhantomSpec:
+    """The phantom on `grid`: a body ellipsoid with 0.42 of each extent as
+    radius and kinetics BACKGROUND_KI and BACKGROUND_VB, and a hot-core tumor
+    4 voxels before the center along the last axis, whose center must lie
+    inside the grid. Frames have voxels of VOXEL_SIZE_MM."""
+
     grid: tuple = (16, 16, 32)
-    voxel_size_mm: tuple = (8.0, 8.0, 8.0)
-    body: Region = None
-    regions: list = field(default_factory=list)
-    background_ki: float = 0.002
-    background_vb: float = 0.05
-    tumor_tag: str = "tumor"
 
     def __post_init__(self):
-        if self.body is None:
-            c = tuple((n - 1) / 2.0 for n in self.grid)
-            r = tuple(0.42 * n for n in self.grid)
-            self.body = Region(c, r, self.background_ki, self.background_vb, tag="body")
-        if not self.regions:
-            c = tuple((n - 1) / 2.0 for n in self.grid)
-            # hot-core tumor: region-mean Ki at the motion-free reference
-            # scale, with elevated blood volume in the same place
-            self.regions = [Region((c[0], c[1], c[2] - 4), (3.0, 3.0, 3.2),
-                                   0.0146, 0.09, tag=self.tumor_tag, peak=3.0)]
-        for r in self.regions:
-            for c, radius, n in zip(r.center, r.radii, self.grid):
-                if not (0 <= c < n):
-                    raise ConfigurationError(f"region center {r.center} outside grid")
+        c = tuple((n - 1) / 2.0 for n in self.grid)
+        self.body = Region(c, tuple(0.42 * n for n in self.grid), BACKGROUND_KI, BACKGROUND_VB)
+        # region-mean Ki at the motion-free reference scale, with elevated
+        # blood volume in the same place
+        self.tumor = Region((c[0], c[1], c[2] - 4), (3.0, 3.0, 3.2), 0.0146, 0.09, peak=3.0)
+        if not all(0 <= x < n for x, n in zip(self.tumor.center, self.grid)):
+            raise ConfigurationError(f"tumor center {self.tumor.center} outside grid")
 
     def kinetic_maps(self):
-        """True (Ki, Vb, body mask) volumes; region centers decide membership."""
+        """True (Ki, Vb, body mask) volumes; the tumor overrides the body."""
         ki = np.zeros(self.grid)
         vb = np.zeros(self.grid)
         body = self.body.mask(self.grid)
-        ki[body] = self.background_ki
-        vb[body] = self.background_vb
-        for region in self.regions:
-            shape, m = region.profile(self.grid)
-            ki[m] = (region.ki * shape)[m]
-            vb[m] = (region.vb * shape)[m]
+        ki[body] = self.body.ki
+        vb[body] = self.body.vb
+        shape, m = self.tumor.profile(self.grid)
+        ki[m] = (self.tumor.ki * shape)[m]
+        vb[m] = (self.tumor.vb * shape)[m]
         return ki, vb, body
 
-    def region_mask(self, tag):
-        for region in self.regions:
-            if region.tag == tag:
-                return region.mask(self.grid)
-        raise ConfigurationError(f"no region tagged {tag!r}")
 
-
-def default_frame_times(n_frames=8, start_mid=22.5, spacing=5.0):
-    """Mid-times and durations of consecutive late frames (all past t*=20)."""
-    mids = start_mid + spacing * np.arange(n_frames)
-    durations = np.full(n_frames, spacing)
+def default_frame_times(n_frames=8):
+    """Mid-times and durations of `n_frames` consecutive frames of
+    FRAME_SPACING from FRAME_START_MID on."""
+    mids = FRAME_START_MID + FRAME_SPACING * np.arange(n_frames)
+    durations = np.full(n_frames, FRAME_SPACING)
     return mids, durations
 
 
-def simulate_frames(spec: PhantomSpec, ifn: InputFunction, mid_times, durations,
-                    noise_sigma=0.0, rng=None) -> FrameSeries:
-    """Noise-free kinetics per voxel, plus optional Gaussian noise."""
+def simulate_frames(spec: PhantomSpec, ifn: InputFunction, mid_times, durations) -> FrameSeries:
+    """Noise-free kinetics per voxel, on voxels of VOXEL_SIZE_MM. The only
+    noise is the one `train.preprocess` adds above CUTOFF to the frames the
+    network sees."""
     mid_times = np.asarray(mid_times, dtype=np.float64)
     if not np.all(np.diff(mid_times) > 0):
         raise DimensionError("frame times must be increasing")
     ki, vb, _body = spec.kinetic_maps()
-    frames = []
-    for t in mid_times:
-        frame = ki * cumulative_input(ifn, t) + vb * ifn.at(t)
-        if noise_sigma > 0:
-            rng = rng or np.random.default_rng(0)
-            frame = frame + rng.normal(0.0, noise_sigma, spec.grid)
-        frames.append(frame.astype(np.float32))
+    frames = [(ki * cumulative_input(ifn, t) + vb * ifn.at(t)).astype(np.float32)
+              for t in mid_times]
     return FrameSeries(np.stack(frames), mid_times, np.asarray(durations, dtype=np.float64),
-                       spec.voxel_size_mm)
+                       VOXEL_SIZE_MM)
 
 
 @dataclass
 class MotionSpec:
     """Per-frame pseudo local shift plus radial expansion/contraction.
 
-    Each frame but `reference_index` gets a Gaussian-windowed shift of up to
-    `max_shift_voxels` at a random site in the middle half of each axis, a
-    rigid translation of up to `rigid_voxels`, and a radial factor about the
-    volume center. The radial factor is drawn from
-    [expansion_low, expansion_high] in pull-warp convention: negative values
-    sample toward the center, which enlarges objects. The default range is
-    biased toward enlargement, but
-    the local shift and the rigid jitter also move the hot region, so the
-    sign of the uptake bias in the corrupted series depends on the seed: on
-    the default phantom (motion-free tumor Ki mean 0.0146) seeds 0-3 give
-    0.0169, 0.0134, 0.0152 and 0.0141."""
+    Each frame but `reference_index` gets a shift of up to MAX_SHIFT_VOXELS,
+    windowed by a Gaussian of SHIFT_WINDOW_VOXELS at a random site in the
+    middle half of each axis, a rigid translation of up to RIGID_VOXELS, and
+    a radial factor about the volume center. `seed` draws all of them. The
+    radial factor is drawn from [EXPANSION_LOW, EXPANSION_HIGH] in pull-warp
+    convention: negative values sample toward the center, which enlarges
+    objects. The range is biased toward enlargement, but the local shift and
+    the rigid jitter also move the hot region, so the sign of the uptake bias
+    in the corrupted series depends on the seed: on the default phantom
+    (motion-free tumor Ki mean 0.0146) seeds 0-3 give 0.0169, 0.0134, 0.0152
+    and 0.0141."""
 
-    max_shift_voxels: float = 2.0
-    rigid_voxels: float = 0.8           # whole-volume translation jitter
-    expansion_low: float = -0.30
-    expansion_high: float = -0.05
-    shift_window_voxels: float = 4.0    # Gaussian extent of the local shift
     seed: int = 0
     reference_index: int = 0
 
     def __post_init__(self):
-        if self.max_shift_voxels < 0:
-            raise ConfigurationError("shift magnitude must be nonnegative")
-        if self.expansion_low > self.expansion_high:
-            raise ConfigurationError("expansion range is inverted")
         if self.reference_index < 0:
             raise ConfigurationError("reference_index must be nonnegative")
 
-    @property
-    def expansion_bound(self):
-        return max(abs(self.expansion_low), abs(self.expansion_high))
 
-
-def _motion_field(grid, rng, motion: MotionSpec):
+def _motion_field(grid, rng):
     zz, yy, xx = np.ix_(*[np.arange(n, dtype=np.float64) for n in grid])
     center = tuple((n - 1) / 2.0 for n in grid)
     # local shift: random vector scaled by a Gaussian window at a random site
     site = [rng.uniform(0.25 * n, 0.75 * n) for n in grid]
-    u = rng.uniform(-motion.max_shift_voxels, motion.max_shift_voxels, size=3)
+    u = rng.uniform(-MAX_SHIFT_VOXELS, MAX_SHIFT_VOXELS, size=3)
     g = np.exp(-((zz - site[0]) ** 2 + (yy - site[1]) ** 2 + (xx - site[2]) ** 2)
-               / (2.0 * motion.shift_window_voxels ** 2))
+               / (2.0 * SHIFT_WINDOW_VOXELS ** 2))
     field = np.stack([u[0] * g, u[1] * g, u[2] * g])
     # rigid whole-volume translation
-    rigid = rng.uniform(-motion.rigid_voxels, motion.rigid_voxels, size=3)
+    rigid = rng.uniform(-RIGID_VOXELS, RIGID_VOXELS, size=3)
     for a in range(3):
         field[a] += rigid[a]
     # radial expansion/contraction about the volume center
-    alpha = rng.uniform(motion.expansion_low, motion.expansion_high)
+    alpha = rng.uniform(EXPANSION_LOW, EXPANSION_HIGH)
     field[0] += alpha * (zz - center[0])
     field[1] += alpha * (yy - center[1])
     field[2] += alpha * (xx - center[2])
@@ -223,8 +202,6 @@ def inject_motion(series: FrameSeries, motion: MotionSpec):
             f"{series.frames} frames")
     rng = np.random.default_rng(motion.seed)
     grid = series.grid
-    bound = (motion.max_shift_voxels + motion.rigid_voxels
-             + motion.expansion_bound * max(grid))
     corrupted = np.array(series.data, copy=True)
     true_fields = []
     for t in range(series.frames):
@@ -232,9 +209,7 @@ def inject_motion(series: FrameSeries, motion: MotionSpec):
             true_fields.append(DisplacementField(np.zeros((3, *grid), dtype=np.float32),
                                                  series.voxel_size_mm))
             continue
-        fld = _motion_field(grid, rng, motion)
-        if np.abs(fld).max() > bound + 1e-9:
-            raise ConfigurationError("motion field exceeds its magnitude bound")
+        fld = _motion_field(grid, rng)
         corrupted[t] = warp(series.data[t], fld).astype(series.data.dtype)
         true_fields.append(DisplacementField(fld.astype(np.float32),
                                              series.voxel_size_mm))
@@ -296,12 +271,14 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
                         t_star=20.0):
     """Fit all three conditions (motion-free truth, motion, corrected) and
     report kinetic statistics, alignment metrics, and field endpoint error."""
-    if corrected.grid != truth.grid:
-        raise DimensionError("corrected/truth grids differ")
+    if (corrected.grid != truth.grid
+            or not np.array_equal(corrected.mid_times, truth.mid_times)
+            or not np.array_equal(corrected.durations, truth.durations)):
+        raise DimensionError("corrected/truth grids or frame timings differ")
     if len(true_fields) != truth.frames:
         raise DimensionError(f"{len(true_fields)} true fields for {truth.frames} frames")
     body = spec.body.mask(spec.grid)
-    tumor = spec.region_mask(spec.tumor_tag)
+    tumor = spec.tumor.mask(spec.grid)
 
     # the motion series and each condition's maps are dropped once measured
     report = {

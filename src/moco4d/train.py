@@ -3,7 +3,7 @@ application to full series."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,51 +16,51 @@ from .series import FrameSeries
 from .warping import DisplacementField, resample_field, warp
 
 
+LOSS = LossConfig()        # smoothness weight 1, NCC window 9
+CUTOFF = 2.5               # SUV
+NOISE_SIGMA = 0.01         # SUV, on the voxels above CUTOFF
+WINDOW_LENGTH = 5          # frames per window, except for pairwise
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     """Settings shared by `train` and `apply`.
 
-    `loss` holds the objective's smoothness weight and NCC window. The network
-    sees the series mean-pooled by `downsample_factor`, with voxels above
-    `cutoff` (SUV) replaced by `cutoff` plus Gaussian noise of `noise_sigma`,
-    in windows of `window_length` frames (1 for pairwise) registered to frame
-    `reference_index`. `seed` drives that noise and the window order."""
+    The network sees the series mean-pooled by `downsample_factor`, with
+    voxels above CUTOFF replaced by CUTOFF plus Gaussian noise of NOISE_SIGMA,
+    in windows of WINDOW_LENGTH frames (1 for pairwise) registered to frame
+    `reference_index`, and learns the LOSS objective with Adam (ADAM_BETA1,
+    ADAM_BETA2, ADAM_EPS). `seed` drives that noise and the window order."""
 
     learning_rate: float = 1e-4
     epochs: int = 1
-    loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
     downsample_factor: int = 4
-    cutoff: float = 2.5            # SUV
-    noise_sigma: float = 0.01
-    window_length: int = 5
     reference_index: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.downsample_factor < 1 or self.cutoff <= 0:
-            raise ConfigurationError("learning_rate, downsample_factor, cutoff must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise sigma must be nonnegative")
-        if self.window_length < 1:
-            raise ConfigurationError("window_length must be >= 1")
+        if self.learning_rate <= 0 or self.downsample_factor < 1:
+            raise ConfigurationError("learning_rate and downsample_factor must be positive")
         if self.epochs < 0 or self.reference_index < 0:
             raise ConfigurationError("epochs and reference_index must be nonnegative")
 
 
-@dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """Adam's moment estimates per parameter name, and the step count."""
+
+    def __init__(self):
+        self.m = {}
+        self.v = {}
+        self.step = 0
 
 
 def adam_step(params, grads, state: AdamState, lr):
     """One Adam update over named parameter tensors (in place)."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     for name, g in grads.items():
@@ -72,25 +72,24 @@ def adam_step(params, grads, state: AdamState, lr):
         v = state.v[name]
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
-        p.data -= (lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)).astype(p.data.dtype)
+        p.data -= (lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)).astype(p.data.dtype)
 
 
 # -- frame conditioning ------------------------------------------------------------
 
-def preprocess(frame, cfg: TrainConfig, rng):
-    """Intensity cutoff with Gaussian noise on the thresholded voxels.
+def preprocess(frame, rng):
+    """Intensity cutoff at CUTOFF with Gaussian noise of NOISE_SIGMA on the
+    thresholded voxels.
 
     Applied only to the frames used for displacement estimation, never to the
     frames that are finally warped. Voxels at or below the cutoff pass through
     untouched.
     """
-    if cfg.noise_sigma < 0:
-        raise ConfigurationError("noise sigma must be nonnegative")
     out = np.array(frame, copy=True)
-    mask = out > cfg.cutoff
+    mask = out > CUTOFF
     n = int(mask.sum())
     if n:
-        out[mask] = (cfg.cutoff + rng.normal(0.0, cfg.noise_sigma, n)).astype(out.dtype)
+        out[mask] = (CUTOFF + rng.normal(0.0, NOISE_SIGMA, n)).astype(out.dtype)
     return out
 
 
@@ -105,11 +104,12 @@ def mean_pool(vol, factor):
     return blocks.mean(axis=(1, 3, 5), dtype=np.float64).astype(vol.dtype)
 
 
-def pad_to_multiple(vol, multiple=DOWN_FACTOR):
-    """Zero-pad the far side of each axis up to the next multiple; returns the
-    padded volume and the original extents (for cropping back)."""
+def pad_to_multiple(vol):
+    """Zero-pad the far side of each axis up to the next multiple of the
+    network's DOWN_FACTOR; returns the padded volume and the original extents
+    (for cropping back)."""
     shape = vol.shape
-    target = tuple(-(-s // multiple) * multiple for s in shape)
+    target = tuple(-(-s // DOWN_FACTOR) * DOWN_FACTOR for s in shape)
     if target == shape:
         return np.array(vol, copy=True), shape
     pads = tuple((0, t - s) for s, t in zip(shape, target))
@@ -120,19 +120,23 @@ def crop_to(vol, shape):
     return vol[tuple(slice(0, s) for s in shape)]
 
 
-def make_windows(series: FrameSeries, cfg: TrainConfig):
-    """All consecutive windows of `window_length` over the frames, each paired
-    with the fixed reference frame; the reference frame may itself appear as a
-    moving frame.
+def _window_length(variant: NetVariant):
+    """Frames per window: 1 for pairwise, WINDOW_LENGTH otherwise."""
+    return 1 if variant == NetVariant.PAIRWISE else WINDOW_LENGTH
+
+
+def make_windows(frames, cfg: TrainConfig, length):
+    """All consecutive windows of `length` over the frames [T, ...], each
+    paired with the fixed reference frame; the reference frame may itself
+    appear as a moving frame.
     """
-    if cfg.reference_index >= series.frames:
+    if cfg.reference_index >= len(frames):
         raise ConfigurationError(f"reference index {cfg.reference_index} out of range")
-    if series.frames < cfg.window_length:
-        raise ConfigurationError(
-            f"{series.frames} frames < window length {cfg.window_length}")
-    ref = series.data[cfg.reference_index]
-    return [FramePairSequence(ref, list(series.data[start:start + cfg.window_length]))
-            for start in range(series.frames - cfg.window_length + 1)]
+    if len(frames) < length:
+        raise ConfigurationError(f"{len(frames)} frames < window length {length}")
+    ref = frames[cfg.reference_index]
+    return [FramePairSequence(ref, list(frames[start:start + length]))
+            for start in range(len(frames) - length + 1)]
 
 
 def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
@@ -144,7 +148,7 @@ def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
     for t in range(series.frames):
         vol = mean_pool(series.data[t], cfg.downsample_factor)
         vol, shape = pad_to_multiple(vol)
-        worked.append(preprocess(vol, cfg, rng))
+        worked.append(preprocess(vol, rng))
     return np.stack(worked), shape
 
 
@@ -159,15 +163,11 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
         raise ConfigurationError(f"model is {model.variant.value}, requested {variant.value}")
     rng = np.random.default_rng(cfg.seed)
 
-    window_len = 1 if variant == NetVariant.PAIRWISE else cfg.window_length
-    window_cfg = replace(cfg, window_length=window_len)
-
+    length = _window_length(variant)
     all_windows = []
     for series in series_list:
         net_frames, _shape = _working_series(series, cfg, rng)
-        worked = FrameSeries(net_frames, series.mid_times, series.durations,
-                             series.voxel_size_mm)
-        all_windows.extend(make_windows(worked, window_cfg))
+        all_windows.extend(make_windows(net_frames, cfg, length))
     if not all_windows:
         raise ConfigurationError("no training window: series_list is empty")
 
@@ -185,7 +185,7 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
                 warped = [warp(ad.constant(np.asarray(m)), f)
                           for m, f in zip(seq.moving, fields)]
                 loss, sim, smooth = loss_terms(ad.constant(np.asarray(seq.reference)),
-                                               warped, fields, cfg.loss)
+                                               warped, fields, LOSS)
             if not np.isfinite(loss.data):
                 raise NumericError(
                     f"non-finite loss at step {step} (similarity={sim}, smoothness={smooth})")
@@ -213,7 +213,7 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
     net_frames, work_shape = _working_series(series, cfg, rng)
     idx = list(range(series.frames))
 
-    window_len = 1 if model.variant == NetVariant.PAIRWISE else cfg.window_length
+    window_len = _window_length(model.variant)
     chunks = []
     start = 0
     while start < len(idx):

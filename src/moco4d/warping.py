@@ -36,8 +36,6 @@ def warp(volume, field):
     out(v) = volume(v + field(v)); samples outside the volume read 0.
     """
     graph = isinstance(volume, ad.Tensor) or isinstance(field, ad.Tensor)
-    if isinstance(field, DisplacementField):
-        field = field.data
     out = ad.warp(volume, field)
     return out if graph else out.data
 

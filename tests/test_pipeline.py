@@ -8,7 +8,7 @@ from moco4d import network as net
 from moco4d import phantom as ph
 from moco4d import train as tr
 from moco4d.errors import ConfigurationError, DimensionError
-from moco4d.network import NetVariant
+from moco4d.network import FramePairSequence, NetVariant
 from moco4d.patlak import parametric_maps
 from moco4d.series import FrameSeries
 from moco4d.warping import warp
@@ -80,7 +80,7 @@ def test_train_is_bit_deterministic(phantom):
 
 def test_default_motion_bias_sign_depends_on_seed(phantom):
     spec, ifn, truth = phantom
-    tumor = spec.region_mask(spec.tumor_tag)
+    tumor = spec.tumor.mask(spec.grid)
     free = parametric_maps(truth, ifn, T_STAR).ki[tumor].mean()
     assert free == pytest.approx(0.0146, rel=1e-6)
     bias = []
@@ -110,6 +110,39 @@ def test_evaluate_rejects_wrong_true_field_count(phantom):
     for wrong in (true_fields[:-1], true_fields + true_fields[:1]):
         with pytest.raises(DimensionError):
             ph.evaluate_correction(moving, truth, wrong, wrong, spec, ifn, T_STAR)
+
+
+def test_evaluate_rejects_other_frame_timing(phantom):
+    # a corrected series is fitted with the truth's timing or not at all
+    spec, ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=0))
+    mids, durations, size = moving.mid_times, moving.durations, moving.voxel_size_mm
+    for corrected in (FrameSeries(moving.data[:7], mids[:7], durations[:7], size),
+                      FrameSeries(moving.data, mids + 3.0, durations, size),
+                      FrameSeries(moving.data, mids, durations * 0.5, size)):
+        with pytest.raises(DimensionError):
+            ph.evaluate_correction(corrected, truth, true_fields, true_fields, spec, ifn,
+                                   T_STAR)
+
+
+def test_apply_windows(phantom):
+    # 8 frames in windows of 5: frames 1-4 take the fields of window 0-4, and
+    # frames 5-7 those of the tail window 3-7
+    _spec, _ifn, truth = phantom
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    assert moving.frames == 8 and tr.WINDOW_LENGTH == 5
+    model, cfg = make_model(), config()
+    _corrected, fields = tr.apply(model, moving, cfg)
+    net_frames, _shape = tr._working_series(moving, cfg, np.random.default_rng(cfg.seed))
+    ref = net_frames[cfg.reference_index]
+    windows = [FramePairSequence(ref, list(net_frames[a:a + 5])) for a in (0, 3)]
+    head, tail = [net.estimate_displacements(model, w) for w in windows]
+    # the B-ConvLSTM is order-sensitive: frame 3 gets another field in the tail window
+    assert not np.array_equal(head[3], tail[0])
+    for i in range(1, 5):
+        np.testing.assert_array_equal(fields[i].data, head[i])
+    for i in range(5, 8):
+        np.testing.assert_array_equal(fields[i].data, tail[i - 3])
 
 
 def test_apply_on_a_downsampled_grid():
