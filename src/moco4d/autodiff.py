@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigurationError, DimensionError, NumericError
 
 _TAPES: list["Tape"] = []
 
@@ -116,6 +116,10 @@ def _as_tensor(x):
 
 
 def _node(data, parents, vjp, op):
+    # outside a tape nothing is differentiated: a result keeps no parents and
+    # no VJP, so an inference pass holds no graph
+    if _active_tape() is None:
+        return Tensor(data, op=op)
     return Tensor(data, parents=tuple(parents), vjp=vjp, op=op)
 
 
@@ -230,9 +234,10 @@ def reshape(x, shape):
 
 
 def concat_channels(parts):
-    """Concatenate along the channel axis (axis -4: [C,D,H,W] or [B,C,D,H,W])."""
+    """Concatenate along the channel axis: axis 1 of [B,C,D,H,W], axis 0 of
+    [C,D,H,W] or of a flat [C]."""
     parts = [_as_tensor(p) for p in parts]
-    axis = parts[0].data.ndim - 4
+    axis = 1 if parts[0].data.ndim == 5 else 0
     sizes = [p.data.shape[axis] for p in parts]
     offs = np.cumsum([0] + sizes)
     idx = (slice(None),) * axis
@@ -591,22 +596,14 @@ def _warp_taps(field):
         yield zs, base, weights
 
 
-def _weighted_corners(weights, corners):
-    """Each corner's flat offset and weight wz·wy·wx; wz·wy is shared by each x pair."""
-    wz, wy, wx = weights
-    for a, b, c, off in corners:
-        if c == 0:
-            wzy = wz[a] * wy[b]
-        yield off, wzy * wx[c]
-
-
 def warp(volume, field):
     """Trilinear pull-warp: out(v) = volume(v + field(v)); outside reads 0.
 
     `volume` is [D, H, W], or [C, D, H, W] with every channel warped by the
     same field; `field` is [3, D, H, W] (displacements in voxels of the
-    volume's own grid) and must be finite. Differentiable in both; the field
-    gradient sums over channels.
+    volume's own grid) and must be finite. Differentiable in the field only,
+    whose gradient sums over channels; a volume that requires a gradient is
+    rejected.
     """
     volume, field = _as_tensor(volume), _as_tensor(field)
     if volume.data.ndim not in (3, 4):
@@ -618,6 +615,9 @@ def warp(volume, field):
             f"warp: field shape {field.data.shape} does not match volume {volume.data.shape}")
     if not _finite(field.data):
         raise NumericError("warp: non-finite field")
+    if volume.requires_grad:
+        raise ConfigurationError("warp: differentiable in the field only, "
+                                 "the volume must not require a gradient")
     chans = volume.data.reshape((-1,) + grid)       # [C, D, H, W]
     # shape of the zero-bordered copy, and the volume's place in it
     bordered = (len(chans),) + tuple(n + 2 * _WARP_BORDER for n in grid)
@@ -636,41 +636,31 @@ def warp(volume, field):
         return [np.take(f[off:], base) for f in flat]
 
     def vjp(g):
-        # taps and the bordered copy are rebuilt here, not kept alive on the tape
+        # taps and the bordered copy are rebuilt here, not kept alive on the
+        # tape; the node requires a gradient only through the field
         g = g.reshape(chans.shape)
-        gvol = gfield = None
-        if volume.requires_grad:
-            # scatter-add of every corner's weighted gradient into the bordered
-            # volume, on flat indices; the border is cropped off
-            chan_offs = np.arange(len(chans))[:, None] * (hp * wp * bordered[1])
-            idx, wts = [], []
-            for zs, base, weights in _warp_taps(field.data):
-                for off, w in _weighted_corners(weights, corners):
-                    idx.append((base.reshape(1, -1) + (chan_offs + off)).ravel())
-                    wts.append((g[:, zs] * w).ravel())
-            gvol = np.bincount(np.concatenate(idx), weights=np.concatenate(wts),
-                               minlength=np.prod(bordered)).reshape(bordered)[inner]
-            gvol = gvol.astype(volume.data.dtype).reshape(volume.data.shape)
-        if field.requires_grad:
-            flat = flat_bordered()
-            gfield = np.zeros_like(field.data)
-            for zs, base, (wz, wy, wx) in _warp_taps(field.data):
-                gs, gf = g[:, zs], gfield[:, zs]
-                for a, b, c, off in corners:
-                    gv = gs * np.stack(gather(flat, base, off))
-                    # the weight derivative in the displacement is -1 at the
-                    # low neighbour and +1 at the high one
-                    for axis, up, t in ((0, a, gv * wy[b] * wx[c]),
-                                        (1, b, gv * wz[a] * wx[c]),
-                                        (2, c, gv * wz[a] * wy[b])):
-                        t = t.sum(axis=0).astype(gf.dtype)
-                        (np.add if up else np.subtract)(gf[axis], t, out=gf[axis])
-        return gvol, gfield
+        flat = flat_bordered()
+        gfield = np.zeros_like(field.data)
+        for zs, base, (wz, wy, wx) in _warp_taps(field.data):
+            gs, gf = g[:, zs], gfield[:, zs]
+            for a, b, c, off in corners:
+                gv = gs * np.stack(gather(flat, base, off))
+                # the weight derivative in the displacement is -1 at the
+                # low neighbour and +1 at the high one
+                for axis, up, t in ((0, a, gv * wy[b] * wx[c]),
+                                    (1, b, gv * wz[a] * wx[c]),
+                                    (2, c, gv * wz[a] * wy[b])):
+                    t = t.sum(axis=0).astype(gf.dtype)
+                    (np.add if up else np.subtract)(gf[axis], t, out=gf[axis])
+        return None, gfield
 
     flat = flat_bordered()
     out = np.zeros(chans.shape, dtype=chans.dtype)
-    for zs, base, weights in _warp_taps(field.data):
-        for off, w in _weighted_corners(weights, corners):
+    for zs, base, (wz, wy, wx) in _warp_taps(field.data):
+        for a, b, c, off in corners:
+            if c == 0:
+                wzy = wz[a] * wy[b]     # shared by each x pair
+            w = wzy * wx[c]
             for slab, vals in zip(out[:, zs], gather(flat, base, off)):
                 slab += (w * vals).astype(chans.dtype, copy=False)
     return _node(out.reshape(volume.data.shape), [volume, field], vjp, "warp")

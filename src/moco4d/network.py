@@ -21,7 +21,8 @@ with a 1->32 channel-restore conv) or serially before the flow head
 
     bcell  ConvLSTM 32->32, one conv 64->128 on concat[x, h] per step
     scell  ConvLSTM 16->32, one conv 48->128 on concat[x, h] per step
-    blstm  dense LSTM over the flattened bottleneck, hidden = voxel count
+    blstm  the same cell with a 0-D kernel over the flattened bottleneck of
+           s voxels: hidden = s, one [4s, 33s] matvec on concat[x, h] per step
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class FramePairSequence:
     moving: list
 
     def __post_init__(self):
+        if not self.moving:
+            raise DimensionError("a frame-pair sequence needs a moving frame")
         shape = self.reference.shape
         for m in self.moving:
             if m.shape != shape:
@@ -86,7 +89,7 @@ class FramePairSequence:
 class NetParams:
     variant: NetVariant
     convs: dict            # name -> (kernels Tensor, bias Tensor)
-    cell: object = None    # ConvLstmParams / DenseLstmParams for recurrent variants
+    cell: object = None    # ConvLstmParams for recurrent variants (2-D kernel for B-LSTM)
     restore: tuple = None  # B-LSTM channel-restore conv (kernels, bias)
     bottleneck_spatial: tuple = None  # fixed for B-LSTM only
 
@@ -140,7 +143,8 @@ def init_net_params(variant, rng, extents=None, dtype=np.float32) -> NetParams:
         _check_extents(extents)
         bottleneck_spatial = tuple(e // DOWN_FACTOR for e in extents)
         s = int(np.prod(bottleneck_spatial))
-        cell = cl.init_dense_lstm_params(rng, 32 * s, s, dtype=dtype, prefix="blstm")
+        cell = cl.init_convlstm_params(rng, 32 * s, s, kernel=(), dtype=dtype,
+                                       prefix="blstm")
         restore = _conv_param(rng, "restore", 1, 32, dtype)
 
     flow_in = 32 if variant == NetVariant.S_CONVLSTM else 16
@@ -184,6 +188,21 @@ def _flow(params, x):
     return ad.conv3d(x, k, b, stride=1, padding=1)
 
 
+def _recur(cell, x):
+    """Run the cell over the frames of x [T, C, D, H, W] from a zero state;
+    returns the stacked h. The dense cell reads each frame flattened and its
+    h comes back as one channel, [T, 1, D, H, W]."""
+    spatial = x.shape[2:]
+    dense = cell.k.data.ndim == 2
+    state = cl.zero_state(cell.hidden, () if dense else spatial, dtype=x.dtype)
+    hs = []
+    for t in range(x.shape[0]):
+        x_t = ad.select_frame(x, t)
+        state = cl.convlstm_step(cell, ad.reshape(x_t, (-1,)) if dense else x_t, state)
+        hs.append(ad.reshape(state.h, (1, *spatial)) if dense else state.h)
+    return ad.stack_frames(hs)
+
+
 def forward_fields(params: NetParams, seq: FramePairSequence):
     """Graph-building forward pass; returns one 3-channel field tensor per
     moving frame, at the input grid.
@@ -193,9 +212,9 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
     variant = params.variant
     shape = seq.reference.shape
     _check_extents(shape)
-    if params.variant == NetVariant.B_LSTM and params.bottleneck_spatial is not None:
+    if variant == NetVariant.B_LSTM:
         want = tuple(e // DOWN_FACTOR for e in shape)
-        if want != tuple(params.bottleneck_spatial):
+        if want != params.bottleneck_spatial:
             raise ConfigurationError(
                 f"dense-LSTM params were built for bottleneck {params.bottleneck_spatial}, "
                 f"input gives {want}")
@@ -209,34 +228,16 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
 
     # temporal context enters at the bottleneck for the B-variants
     if variant == NetVariant.B_CONVLSTM:
-        spatial = bottom.shape[2:]
-        state = cl.zero_state(32, spatial, dtype=dtype)
-        hs = cl.convlstm_unroll(params.cell,
-                                [ad.select_frame(bottom, t) for t in range(frames)], state)
-        bottom = ad.stack_frames(hs)
+        bottom = _recur(params.cell, bottom)
     elif variant == NetVariant.B_LSTM:
-        spatial = bottom.shape[2:]
-        s = int(np.prod(spatial))
-        state = cl.ConvLstmState(ad.constant(np.zeros(s, dtype=dtype)),
-                                 ad.constant(np.zeros(s, dtype=dtype)))
-        maps = []
-        for t in range(frames):
-            flat = ad.reshape(ad.select_frame(bottom, t), (32 * s,))
-            state = cl.dense_lstm_step(params.cell, flat, state)
-            maps.append(ad.reshape(state.h, (1, *spatial)))
         rk, rb = params.restore
-        bottom = ad.leaky_relu(ad.conv3d(ad.stack_frames(maps), rk, rb, 1, 1),
+        bottom = ad.leaky_relu(ad.conv3d(_recur(params.cell, bottom), rk, rb, 1, 1),
                                LEAKY_SLOPE)
 
     feat = _decode(params, skips, bottom)
 
     if variant == NetVariant.S_CONVLSTM:
-        feat = _conv_block(params, "sconv", feat, stride=1)
-        spatial = feat.shape[2:]
-        state = cl.zero_state(32, spatial, dtype=dtype)
-        hs = cl.convlstm_unroll(params.cell,
-                                [ad.select_frame(feat, t) for t in range(frames)], state)
-        feat = ad.stack_frames(hs)
+        feat = _recur(params.cell, _conv_block(params, "sconv", feat, stride=1))
 
     fields = _flow(params, feat)
     return [ad.select_frame(fields, t) for t in range(frames)]

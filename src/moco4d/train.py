@@ -229,7 +229,7 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
         series.voxel_size_mm)
     fields = {i: zero_field for i in range(series.frames)}
     ref = net_frames[cfg.reference_index]
-    assigned = set()
+    assigned = {cfg.reference_index}       # keeps its zero field
     for chunk in chunks:
         seq = FramePairSequence(ref, [net_frames[i] for i in chunk])
         est = net.estimate_displacements(model, seq)
@@ -246,9 +246,7 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
 
     corrected = np.array(series.data, copy=True)
     for i in idx:
-        if i == cfg.reference_index:
-            fields[i] = zero_field
-            continue
-        corrected[i] = warp(series.data[i], fields[i].data)
+        if i != cfg.reference_index:
+            corrected[i] = warp(series.data[i], fields[i].data)
     out = series.with_data(corrected)
     return out, [fields[i] for i in range(series.frames)]

@@ -61,6 +61,15 @@ def convlstm_step_scalar(w, u, b, x_t, h_prev, c_prev):
     return h, c
 
 
+def dense_lstm_step_formula(w, u, b, x_t, h_prev, c_prev):
+    """The dense cell with separate input and state matrices: the four gate
+    pre-activations are W x + U h + b, split into row blocks i, f, c, o."""
+    pre = (w @ x_t + u @ h_prev + b).reshape(4, -1)
+    i, f, o = sigmoid_np(pre[0]), sigmoid_np(pre[1]), sigmoid_np(pre[3])
+    c = i * np.tanh(pre[2]) + f * c_prev
+    return o * np.tanh(c), c
+
+
 def shift_volume(vol, dz, dy, dx):
     """Integer-shift oracle for pull-warp with constant displacement.
 

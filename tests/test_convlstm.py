@@ -1,17 +1,19 @@
-"""ConvLSTM cell against the straight-line scalar oracle, plus gate invariants."""
+"""The LSTM cell, convolutional and dense, against straight-line oracles, the
+network's recurrence loop, and gate invariants."""
 
 import numpy as np
 import pytest
 
 from moco4d import autodiff as ad
 from moco4d import convlstm as cl
+from moco4d import network as net
 from moco4d.errors import DimensionError
 
 from gradcheck import grad_check
-from oracles import convlstm_step_scalar
+from oracles import convlstm_step_scalar, dense_lstm_step_formula
 
 
-def random_params(rng, cin, hidden, kernel=3, dtype=np.float64, prefix="cell"):
+def random_params(rng, cin, hidden, kernel=(3, 3, 3), dtype=np.float64, prefix="cell"):
     p = cl.init_convlstm_params(rng, cin, hidden, kernel=kernel, dtype=dtype,
                                 prefix=prefix)
     # randomize biases too so trivial cases don't hide bugs
@@ -19,7 +21,7 @@ def random_params(rng, cin, hidden, kernel=3, dtype=np.float64, prefix="cell"):
     return p
 
 
-def zero_params(cin, hidden, kernel=3):
+def zero_params(cin, hidden, kernel=(3, 3, 3)):
     rng = np.random.default_rng(0)
     p = cl.init_convlstm_params(rng, cin, hidden, kernel=kernel, dtype=np.float64)
     p.k.data[:] = 0.0
@@ -43,7 +45,7 @@ def gate_slices(p):
 class TestInit:
     def test_conv_cell_packs_per_gate_draws(self):
         cin, hid, ks = 3, 2, 3
-        p = cl.init_convlstm_params(np.random.default_rng(4), cin, hid, kernel=ks,
+        p = cl.init_convlstm_params(np.random.default_rng(4), cin, hid, kernel=(ks,) * 3,
                                     forget_bias=0.7, dtype=np.float32, prefix="scell")
         assert sorted(p.named()) == ["scell.b", "scell.k"]
         assert p.k.shape == (4 * hid, cin + hid, ks, ks, ks)
@@ -60,17 +62,22 @@ class TestInit:
             p.b.data, np.array([0.0, 0.0, 0.7, 0.7, 0.0, 0.0, 0.0, 0.0], dtype=np.float32))
 
     def test_dense_cell_packs_per_gate_draws(self):
+        # a 0-D kernel: the packed [4h, features + h] matrix holds, per gate,
+        # the W [h, features] then U [h, h] draws at fan-ins features and h
         feat, hid = 5, 3
-        p = cl.init_dense_lstm_params(np.random.default_rng(5), feat, hid,
-                                      forget_bias=0.7, dtype=np.float64)
-        assert sorted(p.named()) == ["blstm.b", "blstm.u", "blstm.w"]
-        assert (p.features, p.hidden) == (feat, hid)
+        p = cl.init_convlstm_params(np.random.default_rng(5), feat, hid, kernel=(),
+                                    forget_bias=0.7, dtype=np.float64, prefix="blstm")
+        assert sorted(p.named()) == ["blstm.b", "blstm.k"]
+        assert p.k.shape == (4 * hid, feat + hid)
+        assert (p.in_channels, p.hidden) == (feat, hid)
         rng = np.random.default_rng(5)
         for r in gate_rows(hid).values():
             np.testing.assert_array_equal(
-                p.w.data[r], rng.uniform(-np.sqrt(1.0 / feat), np.sqrt(1.0 / feat), (hid, feat)))
+                p.k.data[r, :feat],
+                rng.uniform(-np.sqrt(1.0 / feat), np.sqrt(1.0 / feat), (hid, feat)))
             np.testing.assert_array_equal(
-                p.u.data[r], rng.uniform(-np.sqrt(1.0 / hid), np.sqrt(1.0 / hid), (hid, hid)))
+                p.k.data[r, feat:],
+                rng.uniform(-np.sqrt(1.0 / hid), np.sqrt(1.0 / hid), (hid, hid)))
         np.testing.assert_array_equal(p.b.data, np.repeat([0.0, 0.7, 0.0, 0.0], hid))
 
 
@@ -115,65 +122,73 @@ class TestStep:
 
 
 class TestUnroll:
+    """`network._recur`, the one loop every recurrent variant runs."""
+
     def test_length_one_equals_step(self):
         rng = np.random.default_rng(5)
         p = random_params(rng, 2, 2)
-        x = ad.constant(rng.normal(size=(2, 3, 3, 3)))
-        init = cl.zero_state(2, (3, 3, 3), dtype=np.float64)
-        hs = cl.convlstm_unroll(p, [x], init)
-        st = cl.convlstm_step(p, x, init)
-        assert len(hs) == 1
-        np.testing.assert_array_equal(hs[0].data, st.h.data)
+        x = rng.normal(size=(1, 2, 3, 3, 3))
+        hs = net._recur(p, ad.constant(x))
+        st = cl.convlstm_step(p, ad.constant(x[0]),
+                              cl.zero_state(2, (3, 3, 3), dtype=np.float64))
+        assert hs.shape == (1, 2, 3, 3, 3)
+        np.testing.assert_array_equal(hs.data[0], st.h.data)
 
     def test_zero_params_zero_init_all_zero(self):
         p = zero_params(2, 3)
         rng = np.random.default_rng(6)
-        seq = [ad.constant(rng.normal(size=(2, 3, 3, 3))) for _ in range(4)]
-        hs = cl.convlstm_unroll(p, seq, cl.zero_state(3, (3, 3, 3), dtype=np.float64))
-        for h in hs:
-            assert np.all(h.data == 0.0)
+        hs = net._recur(p, ad.constant(rng.normal(size=(4, 2, 3, 3, 3))))
+        assert hs.shape == (4, 3, 3, 3, 3)
+        assert np.all(hs.data == 0.0)
 
     def test_equals_explicit_chaining(self):
         rng = np.random.default_rng(7)
         p = random_params(rng, 2, 2)
-        seq = [ad.constant(rng.normal(size=(2, 3, 3, 3))) for _ in range(3)]
-        init = cl.zero_state(2, (3, 3, 3), dtype=np.float64)
-        hs = cl.convlstm_unroll(p, seq, init)
-        st = init
+        seq = rng.normal(size=(3, 2, 3, 3, 3))
+        hs = net._recur(p, ad.constant(seq))
+        st = cl.zero_state(2, (3, 3, 3), dtype=np.float64)
         for t in range(3):
-            st = cl.convlstm_step(p, seq[t], st)
-            np.testing.assert_array_equal(hs[t].data, st.h.data)
+            st = cl.convlstm_step(p, ad.constant(seq[t]), st)
+            np.testing.assert_array_equal(hs.data[t], st.h.data)
+
+    def test_dense_cell_reads_frames_flattened(self):
+        # hidden = voxel count; each h comes back as one channel on the grid
+        rng = np.random.default_rng(8)
+        p = random_params(rng, 2 * 6, 6, kernel=())
+        seq = rng.normal(size=(3, 2, 1, 2, 3))
+        hs = net._recur(p, ad.constant(seq))
+        assert hs.shape == (3, 1, 1, 2, 3)
+        st = cl.zero_state(6, (), dtype=np.float64)
+        for t in range(3):
+            st = cl.convlstm_step(p, ad.constant(seq[t].ravel()), st)
+            np.testing.assert_array_equal(hs.data[t].ravel(), st.h.data)
 
     def test_empty_sequence_rejected(self):
-        p = zero_params(2, 2)
+        # a window with no moving frame never reaches the recurrence
         with pytest.raises(DimensionError):
-            cl.convlstm_unroll(p, [], cl.zero_state(2, (3, 3, 3)))
+            net.FramePairSequence(np.zeros((3, 3, 3)), [])
 
 
 class TestDense:
+    """The dense cell: the same cell with a 0-D kernel, on flat vectors."""
+
     def test_zero_params_fixed_points(self):
         rng = np.random.default_rng(8)
-        p = cl.init_dense_lstm_params(rng, 4, 3, dtype=np.float64)
-        p.w.data[:] = 0.0
-        p.u.data[:] = 0.0
-        p.b.data[:] = 0.0
+        p = zero_params(4, 3, kernel=())
         x = ad.constant(rng.normal(size=4))
         c0 = rng.normal(size=3)
-        st = cl.dense_lstm_step(p, x, cl.ConvLstmState(
+        st = cl.convlstm_step(p, x, cl.ConvLstmState(
             ad.constant(np.zeros(3)), ad.constant(c0)))
         np.testing.assert_allclose(st.c.data, 0.5 * c0, rtol=1e-14)
         np.testing.assert_allclose(st.h.data, 0.5 * np.tanh(0.5 * c0), rtol=1e-14)
 
     def test_two_unit_hand_computed(self):
         # one feature, two hidden units, hand-picked round numbers
-        p = cl.init_dense_lstm_params(np.random.default_rng(0), 1, 2, dtype=np.float64)
+        p = zero_params(1, 2, kernel=())
         for r, val in zip(gate_rows(2).values(), (0.5, -0.5, 1.0, 0.25)):
-            p.w.data[r] = val
-        p.u.data[:] = 0.0
-        p.b.data[:] = 0.0
+            p.k.data[r, 0] = val
         x = ad.constant(np.array([2.0]))
-        st = cl.dense_lstm_step(p, x, cl.ConvLstmState(
-            ad.constant(np.zeros(2)), ad.constant(np.zeros(2))))
+        st = cl.convlstm_step(p, x, cl.zero_state(2, (), dtype=np.float64))
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         i, f, ch, o = sig(1.0), sig(-1.0), np.tanh(2.0), sig(0.5)
         c_want = i * ch
@@ -181,14 +196,34 @@ class TestDense:
         np.testing.assert_allclose(st.c.data, [c_want, c_want], rtol=1e-14)
         np.testing.assert_allclose(st.h.data, [h_want, h_want], rtol=1e-14)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_separate_matrix_formula(self, seed):
+        # one matvec of the packed kernel on concat[x, h] against W x + U h + b
+        rng = np.random.default_rng(seed)
+        feat, hid = 7, 4
+        p = random_params(rng, feat, hid, kernel=())
+        x, h0, c0 = rng.normal(size=feat), rng.normal(size=hid), rng.normal(size=hid)
+        st = cl.convlstm_step(p, ad.constant(x),
+                              cl.ConvLstmState(ad.constant(h0), ad.constant(c0)))
+        h_ref, c_ref = dense_lstm_step_formula(p.k.data[:, :feat], p.k.data[:, feat:],
+                                               p.b.data, x, h0, c0)
+        np.testing.assert_allclose(st.h.data, h_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(st.c.data, c_ref, rtol=1e-12, atol=0.0)
+
+    def test_shape_mismatch(self):
+        p = zero_params(4, 3, kernel=())
+        with pytest.raises(DimensionError):
+            cl.convlstm_step(p, ad.constant(np.zeros(5)), cl.zero_state(3, (), np.float64))
+        with pytest.raises(DimensionError):
+            cl.convlstm_step(p, ad.constant(np.zeros(4)), cl.zero_state(2, (), np.float64))
+
     def test_degenerate_equivalence_with_conv_cell(self):
         # a 1x1x1 feature map with 1^3 kernels is exactly the dense cell
         rng = np.random.default_rng(9)
         cin, hid = 3, 2
-        conv_p = random_params(rng, cin, hid, kernel=1)
-        dense_p = cl.init_dense_lstm_params(rng, cin, hid, dtype=np.float64)
-        dense_p.w.data[:] = conv_p.k.data[:, :cin, 0, 0, 0]
-        dense_p.u.data[:] = conv_p.k.data[:, cin:, 0, 0, 0]
+        conv_p = random_params(rng, cin, hid, kernel=(1, 1, 1))
+        dense_p = random_params(rng, cin, hid, kernel=())
+        dense_p.k.data[:] = conv_p.k.data[..., 0, 0, 0]
         dense_p.b.data[:] = conv_p.b.data
         x = rng.normal(size=cin)
         h0 = rng.normal(size=hid)
@@ -197,7 +232,7 @@ class TestDense:
             conv_p, ad.constant(x.reshape(cin, 1, 1, 1)),
             cl.ConvLstmState(ad.constant(h0.reshape(hid, 1, 1, 1)),
                              ad.constant(c0.reshape(hid, 1, 1, 1))))
-        st_dense = cl.dense_lstm_step(
+        st_dense = cl.convlstm_step(
             dense_p, ad.constant(x),
             cl.ConvLstmState(ad.constant(h0), ad.constant(c0)))
         np.testing.assert_allclose(st_conv.h.data.ravel(), st_dense.h.data, rtol=1e-13)
@@ -242,9 +277,8 @@ class TestInvariants:
         params = dict(p.named())
 
         def f(_):
-            seq = [ad.constant(x) for x in xs]
-            hs = cl.convlstm_unroll(p, seq, cl.zero_state(2, (3, 3, 3), dtype=np.float64))
-            return ad.mean_all(ad.square(hs[-1]))
+            hs = net._recur(p, ad.constant(np.stack(xs)))
+            return ad.mean_all(ad.square(ad.select_frame(hs, 1)))
 
         err = grad_check(f, params, h=1e-4, samples=150, rng=rng)
         assert err <= 1e-4
@@ -252,7 +286,7 @@ class TestInvariants:
     def test_pointwise_kernels_commute_with_site_permutation(self):
         # with 1^3 kernels each voxel evolves independently
         rng = np.random.default_rng(13)
-        p = random_params(rng, 2, 2, kernel=1)
+        p = random_params(rng, 2, 2, kernel=(1, 1, 1))
         x = rng.normal(size=(2, 1, 1, 6))
         h0 = rng.normal(size=(2, 1, 1, 6))
         c0 = rng.normal(size=(2, 1, 1, 6))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moco4d import autodiff as ad
 from moco4d import network as net
 from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.network import FramePairSequence, NetVariant
@@ -91,6 +92,23 @@ class TestShapes:
                                  for _ in range(2)])
         for f in net.estimate_displacements(params, seq):
             assert np.all(f == 0.0)
+
+
+class TestInference:
+    @pytest.mark.parametrize("variant", [NetVariant.B_CONVLSTM, NetVariant.B_LSTM])
+    def test_forward_outside_a_tape_keeps_no_graph(self, variant):
+        params = make_params(variant, extents=(16, 16, 16), dtype=np.float32)
+        rng = np.random.default_rng(3)
+        seq = FramePairSequence(rng.normal(size=(16, 16, 16)).astype(np.float32),
+                                [rng.normal(size=(16, 16, 16)).astype(np.float32)
+                                 for _ in range(2)])
+        fields = net.forward_fields(params, seq)
+        assert all(f.parents == () and f.vjp is None for f in fields)
+        with ad.Tape():
+            taped = net.forward_fields(params, seq)
+        assert all(f.parents and f.vjp is not None for f in taped)
+        for f, f_t in zip(fields, taped):
+            np.testing.assert_array_equal(f.data, f_t.data)
 
 
 class TestEquivalences:

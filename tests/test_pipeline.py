@@ -1,9 +1,11 @@
 """The whole job on the default 16x16x32 phantom at working resolution:
-simulate -> inject motion -> train -> apply -> evaluate, B-ConvLSTM."""
+simulate -> inject motion -> train -> apply -> evaluate, B-ConvLSTM; and
+every variant once end to end on a smaller phantom."""
 
 import numpy as np
 import pytest
 
+from moco4d import autodiff as ad
 from moco4d import network as net
 from moco4d import phantom as ph
 from moco4d import train as tr
@@ -11,7 +13,7 @@ from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.network import FramePairSequence, NetVariant
 from moco4d.patlak import parametric_maps
 from moco4d.series import FrameSeries
-from moco4d.warping import warp
+from moco4d.warping import resample_field, warp
 
 VARIANT = NetVariant.B_CONVLSTM
 T_STAR = 20.0
@@ -25,8 +27,11 @@ def phantom():
     return spec, ifn, ph.simulate_frames(spec, ifn, mids, durations)
 
 
-def config(**kw):
-    return tr.TrainConfig(downsample_factor=1, **kw)
+def config(epochs=1, seed=0, learning_rate=1e-4, reference_index=0):
+    # keywords spelled out, so that test_layout's settable-value guard sees
+    # which TrainConfig fields a test sets
+    return tr.TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
+                          downsample_factor=1, reference_index=reference_index)
 
 
 def make_model(seed=1):
@@ -59,6 +64,57 @@ def test_reference_frame_passes_through_with_zero_field(phantom):
     assert not fields[ref].data.any()
     # every other frame gets the network's small but nonzero field
     assert all(fields[i].data.any() for i in range(moving.frames) if i != ref)
+
+
+@pytest.mark.parametrize("variant", list(NetVariant))
+def test_every_variant_runs_the_job(variant):
+    # 16x16x16 phantom, 6 frames, one epoch at factor 1
+    spec = ph.PhantomSpec(grid=(16, 16, 16))
+    ifn = ph.sample_input_function()
+    truth = ph.simulate_frames(spec, ifn, *ph.default_frame_times(n_frames=6))
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    cfg = config()
+    model = net.init_net_params(variant, np.random.default_rng(1), extents=spec.grid)
+    model, trace = tr.train(model, variant, [moving], cfg)
+    assert np.isfinite(np.array(trace)).all()
+    corrected, fields = tr.apply(model, moving, cfg)
+    ref = cfg.reference_index
+    np.testing.assert_array_equal(corrected.data[ref], moving.data[ref])
+    assert not fields[ref].data.any()
+    assert all(fields[i].data.any() for i in range(moving.frames) if i != ref)
+    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn, T_STAR)
+    values = [v for r in report.values() for v in (r.values() if isinstance(r, dict) else [r])]
+    assert np.isfinite(values).all()
+
+
+def test_apply_is_bit_identical_to_a_taped_forward_pass(phantom):
+    # outside a tape the forward pass keeps no graph, and computes the same
+    _spec, _ifn, truth = phantom
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    model, cfg = make_model(), config()
+    corrected, fields = tr.apply(model, moving, cfg)
+    with ad.Tape() as tape:
+        corrected_t, fields_t = tr.apply(model, moving, cfg)
+    assert tape.nodes
+    np.testing.assert_array_equal(corrected.data, corrected_t.data)
+    for f, f_t in zip(fields, fields_t):
+        np.testing.assert_array_equal(f.data, f_t.data)
+
+
+def test_apply_upsamples_no_field_for_the_reference(monkeypatch):
+    # factor 4: one resample_field call per moving frame, none for the reference
+    truth = ph.simulate_frames(ph.PhantomSpec(grid=(64, 64, 64)), ph.sample_input_function(),
+                               *ph.default_frame_times())
+    calls = []
+
+    def counted(field, factor):
+        calls.append(factor)
+        return resample_field(field, factor)
+
+    monkeypatch.setattr(tr, "resample_field", counted)
+    _corrected, fields = tr.apply(make_model(), truth, tr.TrainConfig(downsample_factor=4))
+    assert calls == [4] * (truth.frames - 1)
+    assert len(fields) == truth.frames and not fields[0].data.any()
 
 
 def test_train_is_bit_deterministic(phantom):
