@@ -234,22 +234,19 @@ def reshape(x, shape):
 
 
 def concat_channels(parts):
-    """Concatenate along the channel axis: axis 1 of [B,C,D,H,W], axis 0 of
-    [C,D,H,W] or of a flat [C]."""
+    """Concatenate along the leading (channel) axis of [C,D,H,W], or of a flat
+    [C]."""
     parts = [_as_tensor(p) for p in parts]
-    axis = 1 if parts[0].data.ndim == 5 else 0
-    sizes = [p.data.shape[axis] for p in parts]
-    offs = np.cumsum([0] + sizes)
-    idx = (slice(None),) * axis
+    offs = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def vjp(g):
-        return tuple(g[idx + (slice(offs[i], offs[i + 1]),)] for i in range(len(parts)))
+        return tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts)))
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, vjp, "concat")
+    return _node(np.concatenate([p.data for p in parts]), parts, vjp, "concat")
 
 
 def stack_frames(parts):
-    """Stack same-shape tensors along a new leading (frame/batch) axis."""
+    """Stack same-shape tensors along a new leading axis."""
     parts = [_as_tensor(p) for p in parts]
 
     def vjp(g):
@@ -288,8 +285,8 @@ def matvec(m, x):
 #
 # One channels-last kernel serves the forward pass and both VJPs. The input is
 # padded once (and, for stride 2, up to even extents), laid out as
-# [B, Dp, Hp, Wp, C] and split into its stride**3 parity sub-volumes, each
-# flattened to rows of C channels: `rows` is [stride**3, B, N, C] over a
+# [Dp, Hp, Wp, C] and split into its stride**3 parity sub-volumes, each
+# flattened to rows of C channels: `rows` is [stride**3, N, C] over a
 # sub-volume grid (Dg, Hg, Wg) with N = Dg*Hg*Wg. Output voxel (d, h, w) is
 # row r = d*Hg*Wg + h*Wg + w of that grid, and tap (i, j, l) reads sub-volume
 # (i%s, j%s, l%s) at row r + off with off = (i//s)*Hg*Wg + (j//s)*Wg + l//s,
@@ -317,39 +314,35 @@ class _ConvGrid:
                       (i // s) * hg * wg + (j // s) * wg + l // s)
                      for i in range(ks) for j in range(ks) for l in range(ks)]
 
-    def to_rows(self, xb):
-        """[B, C, D, H, W] -> zero-padded parity rows [stride**3, B, N, C]."""
-        nb, c = xb.shape[:2]
+    def to_rows(self, x):
+        """[C, D, H, W] -> zero-padded parity rows [stride**3, N, C]."""
+        c = x.shape[0]
         s, p = self.stride, self.padding
         d, h, w = self.spatial
         dg, hg, wg = self.grid
-        xp = np.zeros((nb, dg * s, hg * s, wg * s, c), dtype=xb.dtype)
-        xp[:, p:p + d, p:p + h, p:p + w] = xb.transpose(0, 2, 3, 4, 1)
-        xp = xp.reshape(nb, dg, s, hg, s, wg, s, c).transpose(2, 4, 6, 0, 1, 3, 5, 7)
-        return np.ascontiguousarray(xp).reshape(s ** 3, nb, self.rows, c)
+        xp = np.zeros((dg * s, hg * s, wg * s, c), dtype=x.dtype)
+        xp[p:p + d, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+        xp = xp.reshape(dg, s, hg, s, wg, s, c).transpose(1, 3, 5, 0, 2, 4, 6)
+        return np.ascontiguousarray(xp).reshape(s ** 3, self.rows, c)
 
     def from_rows(self, rows):
-        """Adjoint of `to_rows`: parity rows -> [B, C, D, H, W]."""
-        _, nb, _, c = rows.shape
+        """Adjoint of `to_rows`: parity rows -> [C, D, H, W]."""
+        c = rows.shape[-1]
         s, p = self.stride, self.padding
         d, h, w = self.spatial
         dg, hg, wg = self.grid
-        xp = rows.reshape(s, s, s, nb, dg, hg, wg, c).transpose(3, 4, 0, 5, 1, 6, 2, 7)
-        xp = xp.reshape(nb, dg * s, hg * s, wg * s, c)
-        return np.ascontiguousarray(
-            xp[:, p:p + d, p:p + h, p:p + w].transpose(0, 4, 1, 2, 3))
+        xp = rows.reshape(s, s, s, dg, hg, wg, c).transpose(3, 0, 4, 1, 5, 2, 6)
+        xp = xp.reshape(dg * s, hg * s, wg * s, c)
+        return np.ascontiguousarray(xp[p:p + d, p:p + h, p:p + w].transpose(3, 0, 1, 2))
 
     def out_rows(self, g):
-        """[B, C_out, Do, Ho, Wo] -> rows [B, N, C_out], zero off the output."""
-        nb, c = g.shape[:2]
+        """[C_out, Do, Ho, Wo] -> rows [N, C_out], zero off the output."""
         do, ho, wo = self.outs
-        gr = np.zeros((nb, *self.grid, c), dtype=g.dtype)
-        gr[:, :do, :ho, :wo] = g.transpose(0, 2, 3, 4, 1)
-        return gr.reshape(nb, self.rows, c)
+        gr = np.zeros((*self.grid, g.shape[0]), dtype=g.dtype)
+        gr[:do, :ho, :wo] = g.transpose(1, 2, 3, 0)
+        return gr.reshape(self.rows, g.shape[0])
 
     def chunks(self):
-        # chunks restart at every batch entry, so identical entries compute
-        # bit-identically whatever the batch holds
         for r0 in range(0, self.m, _CONV_CHUNK_ROWS):
             yield r0, min(r0 + _CONV_CHUNK_ROWS, self.m)
 
@@ -361,65 +354,55 @@ def _tap_kernels(k, dtype):
                                 dtype=dtype)
 
 
-def _conv3d_fwd(xb, k, geo):
-    """Correlation of xb [B, C_in, D, H, W] with k; returns [B, C_out, Do, Ho, Wo].
+def _conv3d_fwd(x, k, geo):
+    """Correlation of x [C_in, D, H, W] with k; returns [C_out, Do, Ho, Wo].
 
-    Each batch entry runs in row chunks; a chunk accumulates one
-    [m, C_in] x [C_in, C_out] GEMM per tap over that tap's row window.
+    Runs in row chunks; a chunk accumulates one [m, C_in] x [C_in, C_out]
+    GEMM per tap over that tap's row window.
     """
-    nb, cout = xb.shape[0], k.shape[0]
-    rows = geo.to_rows(xb)
-    kt = _tap_kernels(k, xb.dtype)
+    cout = k.shape[0]
+    rows = geo.to_rows(x)
+    kt = _tap_kernels(k, x.dtype)
     do, ho, wo = geo.outs
     _, hg, wg = geo.grid
-    y = np.empty((nb, do * hg * wg, cout), dtype=xb.dtype)
-    tmp = np.empty((_CONV_CHUNK_ROWS, cout), dtype=xb.dtype)
-    for b in range(nb):
-        for r0, r1 in geo.chunks():
-            acc, t = y[b, r0:r1], tmp[:r1 - r0]
-            for n, (s, off) in enumerate(geo.taps):
-                win = rows[s, b, r0 + off:r1 + off]
-                if n == 0:
-                    np.matmul(win, kt[n], out=acc)
-                else:
-                    np.matmul(win, kt[n], out=t)
-                    acc += t
-    y = y.reshape(nb, do, hg, wg, cout)[:, :, :ho, :wo]
-    return y.transpose(0, 4, 1, 2, 3)
+    y = np.empty((do * hg * wg, cout), dtype=x.dtype)
+    tmp = np.empty((_CONV_CHUNK_ROWS, cout), dtype=x.dtype)
+    for r0, r1 in geo.chunks():
+        acc, t = y[r0:r1], tmp[:r1 - r0]
+        for n, (s, off) in enumerate(geo.taps):
+            win = rows[s, r0 + off:r1 + off]
+            if n == 0:
+                np.matmul(win, kt[n], out=acc)
+            else:
+                np.matmul(win, kt[n], out=t)
+                acc += t
+    y = y.reshape(do, hg, wg, cout)[:, :ho, :wo]
+    return y.transpose(3, 0, 1, 2)
 
 
 def _conv3d_input_grad(gr, k, geo):
     """Adjoint of `_conv3d_fwd` in its input, from output-gradient rows."""
-    nb, cin = gr.shape[0], k.shape[1]
+    cin = k.shape[1]
     kt = _tap_kernels(k, gr.dtype).transpose(0, 2, 1).copy()  # [taps, C_out, C_in]
-    gx = np.zeros((geo.stride ** 3, nb, geo.rows, cin), dtype=gr.dtype)
+    gx = np.zeros((geo.stride ** 3, geo.rows, cin), dtype=gr.dtype)
     tmp = np.empty((_CONV_CHUNK_ROWS, cin), dtype=gr.dtype)
-    for b in range(nb):
-        for r0, r1 in geo.chunks():
-            g, t = gr[b, r0:r1], tmp[:r1 - r0]
-            for n, (s, off) in enumerate(geo.taps):
-                np.matmul(g, kt[n], out=t)
-                gx[s, b, r0 + off:r1 + off] += t
+    for r0, r1 in geo.chunks():
+        g, t = gr[r0:r1], tmp[:r1 - r0]
+        for n, (s, off) in enumerate(geo.taps):
+            np.matmul(g, kt[n], out=t)
+            gx[s, r0 + off:r1 + off] += t
     return geo.from_rows(gx)
 
 
-def _conv3d_kernel_grad(xb, gr, k_shape, geo):
+def _conv3d_kernel_grad(x, gr, k_shape, geo):
     """Gradient in the kernel: per row chunk, one [C_in, m] x [m, C_out] GEMM
-    per tap.
-
-    Batch entries are concatenated along the rows: the rows a window reads
-    past its own entry's output meet a zero gradient.
-    """
-    nb = xb.shape[0]
+    per tap."""
     cout, cin, ks = k_shape[:3]
-    rows = geo.to_rows(xb).reshape(geo.stride ** 3, -1, cin)
-    span = (nb - 1) * geo.rows + geo.m
-    gflat = gr.reshape(-1, cout)
+    rows = geo.to_rows(x)
     gk = np.zeros((len(geo.taps), cin, cout), dtype=gr.dtype)
     tmp = np.empty((cin, cout), dtype=gr.dtype)
-    for r0 in range(0, span, _CONV_CHUNK_ROWS):
-        r1 = min(r0 + _CONV_CHUNK_ROWS, span)
-        g = gflat[r0:r1]
+    for r0, r1 in geo.chunks():
+        g = gr[r0:r1]
         for n, (s, off) in enumerate(geo.taps):
             np.matmul(rows[s, r0 + off:r1 + off].T, g, out=tmp)
             gk[n] += tmp
@@ -429,51 +412,44 @@ def _conv3d_kernel_grad(xb, gr, k_shape, geo):
 def conv3d(x, kernels, bias, stride=1, padding=1):
     """Direct (correlation) 3-D convolution: [C_in,D,H,W] -> [C_out,D',H',W'].
 
-    A leading batch axis is accepted ([B,C_in,D,H,W]). Kernel spatial extent
-    must be 1 or 3, stride 1 or 2, padding 0 or 1.
+    Kernel spatial extent must be 1 or 3, stride 1 or 2, padding 0 or 1.
 
     All three passes run on one channels-last layout (see the comment above
     `_ConvGrid`): the input is padded once and split into stride**3 parity
     sub-volumes flattened to rows, each kernel tap is a contiguous row window
-    at a fixed offset, and every batch entry is processed in its own row
-    chunks of `_CONV_CHUNK_ROWS`. The input and kernel gradients are only
-    computed for operands that require a gradient.
+    at a fixed offset, and the rows are processed in chunks of
+    `_CONV_CHUNK_ROWS`. The input and kernel gradients are only computed for
+    operands that require a gradient.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     k = kernels.data
-    if x.data.ndim not in (4, 5) or k.ndim != 5:
+    if x.data.ndim != 4 or k.ndim != 5:
         raise DimensionError(f"conv3d: input ndim {x.data.ndim}, kernel ndim {k.ndim}")
     if k.shape[2] not in (1, 3) or k.shape[2:] != (k.shape[2],) * 3:
         raise DimensionError(f"conv3d: unsupported kernel extent {k.shape[2:]}")
-    if k.shape[1] != x.data.shape[-4]:
-        raise DimensionError(f"conv3d: {k.shape[1]} kernel channels vs {x.data.shape[-4]} input")
+    if k.shape[1] != x.data.shape[0]:
+        raise DimensionError(f"conv3d: {k.shape[1]} kernel channels vs {x.data.shape[0]} input")
     if bias.data.shape != (k.shape[0],):
         raise DimensionError(f"conv3d: bias shape {bias.data.shape} vs {k.shape[0]} kernels")
     if stride not in (1, 2) or padding not in (0, 1):
         raise DimensionError(f"conv3d: stride {stride}, padding {padding} unsupported")
     if not _finite(x.data):
         raise NumericError("conv3d: non-finite input")
-    batched = x.data.ndim == 5
-    geo = _ConvGrid(x.data.shape[-3:], k.shape[2], stride, padding)
-
-    def batch(a):
-        return a if batched else a[None]
+    geo = _ConvGrid(x.data.shape[1:], k.shape[2], stride, padding)
 
     def vjp(g):
-        g5 = batch(g)
-        gr = geo.out_rows(g5)
+        gr = geo.out_rows(g)
         gx = gk = gb = None
         if x.requires_grad:
             gx = _conv3d_input_grad(gr, kernels.data, geo)
-            gx = gx if batched else gx[0]
         if kernels.requires_grad:
-            gk = _conv3d_kernel_grad(batch(x.data), gr, k.shape, geo)
+            gk = _conv3d_kernel_grad(x.data, gr, k.shape, geo)
         if bias.requires_grad:
-            gb = g5.sum(axis=(0, 2, 3, 4), dtype=np.float64).astype(g.dtype)
+            gb = g.sum(axis=(1, 2, 3), dtype=np.float64).astype(g.dtype)
         return gx, gk, gb
 
-    y = _conv3d_fwd(batch(x.data), k, geo) + bias.data.reshape(1, -1, 1, 1, 1)
-    return _node(y if batched else y[0], [x, kernels, bias], vjp, "conv3d")
+    y = _conv3d_fwd(x.data, k, geo) + bias.data.reshape(-1, 1, 1, 1)
+    return _node(y, [x, kernels, bias], vjp, "conv3d")
 
 
 # -- separable linear maps ------------------------------------------------------------

@@ -14,10 +14,12 @@ Layout (channels):
     head2  conv 16->16
     flow   conv ->3 (small-normal init so training starts near identity)
 
-Upsampling is parameter-free trilinear interpolation. Variants differ at the
-bottleneck (recurrent cell over the frame window, or a flattened dense LSTM
-with a 1->32 channel-restore conv) or serially before the flow head
-(conv 16->16 + ConvLSTM 16->32, with a 32->3 flow conv). Recurrent cells:
+Upsampling is parameter-free trilinear interpolation. The moving frames run
+through the network one at a time; variants differ at the bottleneck
+(recurrent cell carried over the frame window, or a flattened dense LSTM with
+a 1->32 channel-restore conv `restore`) or serially before the flow head
+(conv `sconv` 16->16 + ConvLSTM 16->32, with a 32->3 flow conv). Recurrent
+cells:
 
     bcell  ConvLSTM 32->32, one conv 64->128 on concat[x, h] per step
     scell  ConvLSTM 16->32, one conv 48->128 on concat[x, h] per step
@@ -90,7 +92,6 @@ class NetParams:
     variant: NetVariant
     convs: dict            # name -> (kernels Tensor, bias Tensor)
     cell: object = None    # ConvLstmParams for recurrent variants (2-D kernel for B-LSTM)
-    restore: tuple = None  # B-LSTM channel-restore conv (kernels, bias)
     bottleneck_spatial: tuple = None  # fixed for B-LSTM only
 
     def named(self):
@@ -100,9 +101,6 @@ class NetParams:
             out[b.name] = b
         if self.cell is not None:
             out.update(self.cell.named())
-        if self.restore is not None:
-            out[self.restore[0].name] = self.restore[0]
-            out[self.restore[1].name] = self.restore[1]
         return out
 
 
@@ -130,7 +128,6 @@ def init_net_params(variant, rng, extents=None, dtype=np.float32) -> NetParams:
         convs[name] = _conv_param(rng, name, cin, cout, dtype)
 
     cell = None
-    restore = None
     bottleneck_spatial = None
     if variant == NetVariant.B_CONVLSTM:
         cell = cl.init_convlstm_params(rng, 32, 32, dtype=dtype, prefix="bcell")
@@ -145,11 +142,11 @@ def init_net_params(variant, rng, extents=None, dtype=np.float32) -> NetParams:
         s = int(np.prod(bottleneck_spatial))
         cell = cl.init_convlstm_params(rng, 32 * s, s, kernel=(), dtype=dtype,
                                        prefix="blstm")
-        restore = _conv_param(rng, "restore", 1, 32, dtype)
+        convs["restore"] = _conv_param(rng, "restore", 1, 32, dtype)
 
     flow_in = 32 if variant == NetVariant.S_CONVLSTM else 16
     convs["flow"] = _conv_param(rng, "flow", flow_in, 3, dtype, std=FLOW_STD)
-    return NetParams(variant, convs, cell, restore, bottleneck_spatial)
+    return NetParams(variant, convs, cell, bottleneck_spatial)
 
 
 def _check_extents(extents):
@@ -188,27 +185,19 @@ def _flow(params, x):
     return ad.conv3d(x, k, b, stride=1, padding=1)
 
 
-def _recur(cell, x):
-    """Run the cell over the frames of x [T, C, D, H, W] from a zero state;
-    returns the stacked h. The dense cell reads each frame flattened and its
-    h comes back as one channel, [T, 1, D, H, W]."""
-    spatial = x.shape[2:]
-    dense = cell.k.data.ndim == 2
-    state = cl.zero_state(cell.hidden, () if dense else spatial, dtype=x.dtype)
-    hs = []
-    for t in range(x.shape[0]):
-        x_t = ad.select_frame(x, t)
-        state = cl.convlstm_step(cell, ad.reshape(x_t, (-1,)) if dense else x_t, state)
-        hs.append(ad.reshape(state.h, (1, *spatial)) if dense else state.h)
-    return ad.stack_frames(hs)
+def _cell_step(cell, x, state):
+    """One cell update on x, from a zero state at the first frame."""
+    if state is None:
+        state = cl.zero_state(cell.hidden, x.shape[1:], dtype=x.dtype)
+    return cl.convlstm_step(cell, x, state)
 
 
 def forward_fields(params: NetParams, seq: FramePairSequence):
     """Graph-building forward pass; returns one 3-channel field tensor per
     moving frame, at the input grid.
 
-    Frames travel the convolutional path batched along a leading axis; the
-    recurrent bottleneck (when present) serializes per frame."""
+    The frames run one at a time through encoder, decoder and flow head; a
+    recurrent cell carries its state from each frame to the next."""
     variant = params.variant
     shape = seq.reference.shape
     _check_extents(shape)
@@ -220,27 +209,31 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
                 f"input gives {want}")
 
     dtype = params.convs["enc0"][0].dtype
-    ref = np.asarray(seq.reference)
-    frames = len(seq)
-    pairs = np.stack(
-        [np.stack([np.asarray(m), ref]) for m in seq.moving]).astype(dtype, copy=False)
-    skips, bottom = _encode(params, ad.constant(pairs))
+    ref = ad.constant(np.asarray(seq.reference, dtype=dtype))
+    state = None
+    fields = []
+    for moving in seq.moving:
+        pair = ad.stack_frames([ad.constant(np.asarray(moving, dtype=dtype)), ref])
+        skips, bottom = _encode(params, pair)
 
-    # temporal context enters at the bottleneck for the B-variants
-    if variant == NetVariant.B_CONVLSTM:
-        bottom = _recur(params.cell, bottom)
-    elif variant == NetVariant.B_LSTM:
-        rk, rb = params.restore
-        bottom = ad.leaky_relu(ad.conv3d(_recur(params.cell, bottom), rk, rb, 1, 1),
-                               LEAKY_SLOPE)
+        # temporal context enters at the bottleneck for the B-variants
+        if variant == NetVariant.B_CONVLSTM:
+            state = _cell_step(params.cell, bottom, state)
+            bottom = state.h
+        elif variant == NetVariant.B_LSTM:
+            # the dense cell reads the bottleneck flattened; its h is one channel
+            state = _cell_step(params.cell, ad.reshape(bottom, (-1,)), state)
+            bottom = _conv_block(params, "restore",
+                                 ad.reshape(state.h, (1, *bottom.shape[1:])), stride=1)
 
-    feat = _decode(params, skips, bottom)
+        feat = _decode(params, skips, bottom)
 
-    if variant == NetVariant.S_CONVLSTM:
-        feat = _recur(params.cell, _conv_block(params, "sconv", feat, stride=1))
+        if variant == NetVariant.S_CONVLSTM:
+            state = _cell_step(params.cell, _conv_block(params, "sconv", feat, stride=1), state)
+            feat = state.h
 
-    fields = _flow(params, feat)
-    return [ad.select_frame(fields, t) for t in range(frames)]
+        fields.append(_flow(params, feat))
+    return fields
 
 
 def estimate_displacements(params: NetParams, seq: FramePairSequence):

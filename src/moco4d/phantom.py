@@ -233,10 +233,10 @@ def endpoint_error(est_fields, true_fields):
                 f"endpoint_error: field shapes {est.data.shape} vs {true.data.shape}")
         resid = true.data.astype(np.float64)
         if est.data.any():
-            # sample the true field at the correction's landing points
-            est64 = est.data.astype(np.float64)
-            resid = warp(resid, est64)
-            resid += est64
+            # sample the true field at the correction's landing points; the
+            # sample positions are float64 whatever the field's dtype
+            resid = warp(resid, est.data)
+            resid += est.data
         mag = np.sqrt(np.square(resid, out=resid).sum(axis=0))
         total += float(mag.sum())
         count += mag.size

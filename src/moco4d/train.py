@@ -152,6 +152,23 @@ def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
     return np.stack(worked), shape
 
 
+def _train_step(model, params, seq, adam, lr, step):
+    """Forward, backward and Adam update on one window; returns the loss, its
+    similarity and its smoothness term as floats. The step's graph lives only
+    in this call's locals, so it is freed before the next step starts."""
+    with ad.Tape() as tape:
+        fields = net.forward_fields(model, seq)
+        warped = [warp(ad.constant(np.asarray(m)), f) for m, f in zip(seq.moving, fields)]
+        loss, sim, smooth = loss_terms(ad.constant(np.asarray(seq.reference)),
+                                       warped, fields, LOSS)
+    if not np.isfinite(loss.data):
+        raise NumericError(
+            f"non-finite loss at step {step} (similarity={sim}, smoothness={smooth})")
+    grads = ad.backward(tape, loss)
+    adam_step(params, grads, adam, lr)
+    return float(loss.data), sim, smooth
+
+
 def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
     """Adam at batch size 1 over shuffled windows; returns (model, trace).
 
@@ -179,19 +196,9 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
         order = rng.permutation(len(all_windows))
         tot_loss = tot_sim = tot_smooth = 0.0
         for wi in order:
-            seq = all_windows[wi]
-            with ad.Tape() as tape:
-                fields = net.forward_fields(model, seq)
-                warped = [warp(ad.constant(np.asarray(m)), f)
-                          for m, f in zip(seq.moving, fields)]
-                loss, sim, smooth = loss_terms(ad.constant(np.asarray(seq.reference)),
-                                               warped, fields, LOSS)
-            if not np.isfinite(loss.data):
-                raise NumericError(
-                    f"non-finite loss at step {step} (similarity={sim}, smoothness={smooth})")
-            grads = ad.backward(tape, loss)
-            adam_step(params, grads, adam, cfg.learning_rate)
-            tot_loss += float(loss.data)
+            loss, sim, smooth = _train_step(model, params, all_windows[wi], adam,
+                                            cfg.learning_rate, step)
+            tot_loss += loss
             tot_sim += sim
             tot_smooth += smooth
             step += 1
@@ -231,6 +238,8 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
     ref = net_frames[cfg.reference_index]
     assigned = {cfg.reference_index}       # keeps its zero field
     for chunk in chunks:
+        if assigned.issuperset(chunk):
+            continue            # pairwise: the reference frame's own window
         seq = FramePairSequence(ref, [net_frames[i] for i in chunk])
         est = net.estimate_displacements(model, seq)
         for i, fld in zip(chunk, est):

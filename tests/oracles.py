@@ -4,6 +4,8 @@ These deliberately avoid the library's vectorized code paths: plain loops
 and direct formula transcriptions only.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from moco4d.network import _DECODER, _ENCODER, DOWN_FACTOR, NetVariant
@@ -193,6 +195,17 @@ def patlak_nfe_scalar(cum, cp, y, w, ki, vb):
     if den == 0.0:
         return float("nan")
     return float(num / den)
+
+
+def traced_peak_bytes(fn):
+    """Peak of the memory traced by tracemalloc (numpy buffers included)
+    while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_params(params) -> int:

@@ -1,5 +1,5 @@
 """The LSTM cell, convolutional and dense, against straight-line oracles, the
-network's recurrence loop, and gate invariants."""
+network's recurrence over the frames of a window, and gate invariants."""
 
 import numpy as np
 import pytest
@@ -121,47 +121,83 @@ class TestStep:
             cl.convlstm_step(p, x, cl.zero_state(3, (3, 3, 3), dtype=np.float64))
 
 
+def window(rng, extents, frames):
+    return net.FramePairSequence(rng.normal(size=extents),
+                                 [rng.normal(size=extents) for _ in range(frames)])
+
+
+def pair(seq, t):
+    return ad.constant(np.stack([seq.moving[t], seq.reference]))
+
+
 class TestUnroll:
-    """`network._recur`, the one loop every recurrent variant runs."""
+    """The recurrence in `network.forward_fields`, the one loop every
+    recurrent variant runs, against the network's blocks chained by hand."""
+
+    EXTENTS = (16, 16, 16)
+
+    def make(self, variant, seed):
+        return net.init_net_params(variant, np.random.default_rng(seed),
+                                   extents=self.EXTENTS, dtype=np.float64)
 
     def test_length_one_equals_step(self):
-        rng = np.random.default_rng(5)
-        p = random_params(rng, 2, 2)
-        x = rng.normal(size=(1, 2, 3, 3, 3))
-        hs = net._recur(p, ad.constant(x))
-        st = cl.convlstm_step(p, ad.constant(x[0]),
-                              cl.zero_state(2, (3, 3, 3), dtype=np.float64))
-        assert hs.shape == (1, 2, 3, 3, 3)
-        np.testing.assert_array_equal(hs.data[0], st.h.data)
+        # one frame: one cell step at the bottleneck from a zero state
+        params = self.make(net.NetVariant.B_CONVLSTM, 5)
+        seq = window(np.random.default_rng(5), self.EXTENTS, 1)
+        (got,) = net.forward_fields(params, seq)
+        skips, bottom = net._encode(params, pair(seq, 0))
+        st = cl.convlstm_step(params.cell, bottom,
+                              cl.zero_state(32, bottom.shape[1:], dtype=np.float64))
+        want = net._flow(params, net._decode(params, skips, st.h))
+        np.testing.assert_array_equal(got.data, want.data)
 
     def test_zero_params_zero_init_all_zero(self):
         p = zero_params(2, 3)
         rng = np.random.default_rng(6)
-        hs = net._recur(p, ad.constant(rng.normal(size=(4, 2, 3, 3, 3))))
-        assert hs.shape == (4, 3, 3, 3, 3)
-        assert np.all(hs.data == 0.0)
+        st = cl.zero_state(3, (3, 3, 3), dtype=np.float64)
+        for _ in range(4):
+            st = cl.convlstm_step(p, ad.constant(rng.normal(size=(2, 3, 3, 3))), st)
+            assert np.all(st.h.data == 0.0) and np.all(st.c.data == 0.0)
+        # so a zeroed bottleneck cell carries nothing between frames: each
+        # frame's field is the one it gets in a window of its own
+        params = self.make(net.NetVariant.B_CONVLSTM, 6)
+        params.cell.k.data[:] = 0.0
+        params.cell.b.data[:] = 0.0
+        seq = window(rng, self.EXTENTS, 3)
+        fields = net.estimate_displacements(params, seq)
+        for t in range(3):
+            alone = net.FramePairSequence(seq.reference, [seq.moving[t]])
+            np.testing.assert_array_equal(fields[t],
+                                          net.estimate_displacements(params, alone)[0])
 
     def test_equals_explicit_chaining(self):
-        rng = np.random.default_rng(7)
-        p = random_params(rng, 2, 2)
-        seq = rng.normal(size=(3, 2, 3, 3, 3))
-        hs = net._recur(p, ad.constant(seq))
-        st = cl.zero_state(2, (3, 3, 3), dtype=np.float64)
+        # S-ConvLSTM: the cell runs after the decoder's serial conv, and its
+        # state carries from each frame to the next
+        params = self.make(net.NetVariant.S_CONVLSTM, 7)
+        seq = window(np.random.default_rng(7), self.EXTENTS, 3)
+        fields = net.forward_fields(params, seq)
+        st = cl.zero_state(32, self.EXTENTS, dtype=np.float64)
         for t in range(3):
-            st = cl.convlstm_step(p, ad.constant(seq[t]), st)
-            np.testing.assert_array_equal(hs.data[t], st.h.data)
+            skips, bottom = net._encode(params, pair(seq, t))
+            feat = net._conv_block(params, "sconv", net._decode(params, skips, bottom), 1)
+            st = cl.convlstm_step(params.cell, feat, st)
+            np.testing.assert_array_equal(fields[t].data, net._flow(params, st.h).data)
 
     def test_dense_cell_reads_frames_flattened(self):
-        # hidden = voxel count; each h comes back as one channel on the grid
-        rng = np.random.default_rng(8)
-        p = random_params(rng, 2 * 6, 6, kernel=())
-        seq = rng.normal(size=(3, 2, 1, 2, 3))
-        hs = net._recur(p, ad.constant(seq))
-        assert hs.shape == (3, 1, 1, 2, 3)
-        st = cl.zero_state(6, (), dtype=np.float64)
+        # B-LSTM: hidden = bottleneck voxel count; the cell reads each frame's
+        # bottleneck flattened and its h comes back as one channel on the grid
+        params = self.make(net.NetVariant.B_LSTM, 8)
+        spatial = params.bottleneck_spatial
+        assert params.cell.hidden == int(np.prod(spatial))
+        seq = window(np.random.default_rng(8), self.EXTENTS, 3)
+        fields = net.forward_fields(params, seq)
+        st = cl.zero_state(params.cell.hidden, (), dtype=np.float64)
         for t in range(3):
-            st = cl.convlstm_step(p, ad.constant(seq[t].ravel()), st)
-            np.testing.assert_array_equal(hs.data[t].ravel(), st.h.data)
+            skips, bottom = net._encode(params, pair(seq, t))
+            st = cl.convlstm_step(params.cell, ad.constant(bottom.data.ravel()), st)
+            h = ad.constant(st.h.data.reshape(1, *spatial))
+            feat = net._decode(params, skips, net._conv_block(params, "restore", h, 1))
+            np.testing.assert_array_equal(fields[t].data, net._flow(params, feat).data)
 
     def test_empty_sequence_rejected(self):
         # a window with no moving frame never reaches the recurrence
@@ -277,8 +313,10 @@ class TestInvariants:
         params = dict(p.named())
 
         def f(_):
-            hs = net._recur(p, ad.constant(np.stack(xs)))
-            return ad.mean_all(ad.square(ad.select_frame(hs, 1)))
+            st = cl.zero_state(2, (3, 3, 3), dtype=np.float64)
+            for x in xs:
+                st = cl.convlstm_step(p, ad.constant(x), st)
+            return ad.mean_all(ad.square(st.h))
 
         err = grad_check(f, params, h=1e-4, samples=150, rng=rng)
         assert err <= 1e-4

@@ -9,7 +9,7 @@ from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.network import FramePairSequence, NetVariant
 
 from gradcheck import grad_check, make_gradcheck_instance, window_loss_fn
-from oracles import PAPER_EXTENTS, count_params, expected_param_count
+from oracles import PAPER_EXTENTS, count_params, expected_param_count, traced_peak_bytes
 
 # pinned reference counts for the full-scale configuration
 REFERENCE_COUNTS = {
@@ -110,6 +110,36 @@ class TestInference:
         for f, f_t in zip(fields, taped):
             np.testing.assert_array_equal(f.data, f_t.data)
 
+    @pytest.mark.parametrize("variant", [NetVariant.B_CONVLSTM, NetVariant.S_CONVLSTM,
+                                         NetVariant.B_LSTM])
+    def test_window_prefix_gives_field_prefix(self, variant):
+        # frames run one at a time and the cell only looks back, so the first
+        # k frames of a window get the fields they get in a window of k
+        params = make_params(variant, seed=9, extents=(16, 16, 16), dtype=np.float32)
+        rng = np.random.default_rng(9)
+        ref = rng.normal(size=(16, 16, 16)).astype(np.float32)
+        movs = [rng.normal(size=(16, 16, 16)).astype(np.float32) for _ in range(4)]
+        whole = net.estimate_displacements(params, FramePairSequence(ref, movs))
+        for k in (1, 3):
+            prefix = net.estimate_displacements(params, FramePairSequence(ref, movs[:k]))
+            for f_p, f_w in zip(prefix, whole[:k]):
+                np.testing.assert_array_equal(f_p, f_w)
+
+    def test_inference_memory_does_not_grow_with_the_window(self):
+        # frame-serial inference holds one frame's activations at a time, so
+        # a 5-frame window peaks near a 1-frame one (1.14x here); activations
+        # held for the whole window put it at about 4.6x
+        params = make_params(NetVariant.B_CONVLSTM, extents=(16, 16, 32), dtype=np.float32)
+        rng = np.random.default_rng(10)
+        ref = rng.normal(size=(16, 16, 32)).astype(np.float32)
+        movs = [rng.normal(size=(16, 16, 32)).astype(np.float32) for _ in range(5)]
+
+        def peak(frames):
+            seq = FramePairSequence(ref, movs[:frames])
+            return traced_peak_bytes(lambda: net.estimate_displacements(params, seq))
+
+        assert peak(5) < 1.5 * peak(1)
+
 
 class TestEquivalences:
     def test_multi_frame_equals_pairwise_with_shared_weights(self):
@@ -126,11 +156,9 @@ class TestEquivalences:
         mov = rng.normal(size=extents)
         f_pw = net.estimate_displacements(pw, FramePairSequence(ref, [mov]))[0]
         fs_mf = net.estimate_displacements(mf, FramePairSequence(ref, [mov] * 5))
-        # identical rows of one batch are bit-identical to each other; the
-        # single-frame pass reassociates GEMM sums, so compare at 1e-12
-        for f in fs_mf[1:]:
-            np.testing.assert_array_equal(f, fs_mf[0])
-        np.testing.assert_allclose(fs_mf[0], f_pw, rtol=1e-12, atol=1e-15)
+        # both run the same per-frame code, so the fields are bit-identical
+        for f in fs_mf:
+            np.testing.assert_array_equal(f, f_pw)
 
     def test_multi_frame_is_permutation_equivariant(self):
         extents = (16, 16, 16)

@@ -15,6 +15,8 @@ from moco4d.patlak import parametric_maps
 from moco4d.series import FrameSeries
 from moco4d.warping import resample_field, warp
 
+from oracles import traced_peak_bytes
+
 VARIANT = NetVariant.B_CONVLSTM
 T_STAR = 20.0
 
@@ -115,6 +117,38 @@ def test_apply_upsamples_no_field_for_the_reference(monkeypatch):
     _corrected, fields = tr.apply(make_model(), truth, tr.TrainConfig(downsample_factor=4))
     assert calls == [4] * (truth.frames - 1)
     assert len(fields) == truth.frames and not fields[0].data.any()
+
+
+def test_pairwise_apply_runs_no_window_for_the_reference(phantom, monkeypatch):
+    # the reference frame's own window would only give a field that apply
+    # discards
+    _spec, _ifn, truth = phantom
+    calls = []
+    estimate = net.estimate_displacements
+
+    def counted(model, seq):
+        calls.append(len(seq))
+        return estimate(model, seq)
+
+    monkeypatch.setattr(net, "estimate_displacements", counted)
+    model = net.init_net_params(NetVariant.PAIRWISE, np.random.default_rng(1))
+    _corrected, fields = tr.apply(model, truth, config())
+    assert calls == [1] * (truth.frames - 1)
+    assert not fields[0].data.any() and all(f.data.any() for f in fields[1:])
+
+
+def test_train_frees_each_step_before_the_next(phantom):
+    # a step's graph must die before the next step builds its own; a graph
+    # kept alive through the next step puts two steps at about 1.34x one step
+    _spec, _ifn, truth = phantom
+    first5 = FrameSeries(truth.data[:5], truth.mid_times[:5], truth.durations[:5],
+                         truth.voxel_size_mm)
+
+    def peak(epochs):
+        cfg = config(epochs=epochs)
+        return traced_peak_bytes(lambda: tr.train(make_model(), VARIANT, [first5], cfg))
+
+    assert peak(2) <= 1.15 * peak(1)
 
 
 def test_train_is_bit_deterministic(phantom):
