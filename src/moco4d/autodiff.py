@@ -191,8 +191,9 @@ def mean_all(a):
 # -- activations ----------------------------------------------------------------
 
 def sigmoid(x):
+    # no exp overflows: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below
     x = _as_tensor(x)
-    out = 1.0 / (1.0 + np.exp(-x.data))
+    out = np.exp(np.minimum(x.data, 0.0)) / (1.0 + np.exp(-np.abs(x.data)))
 
     def vjp(g):
         return (g * out * (1.0 - out),)

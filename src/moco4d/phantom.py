@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigurationError, DimensionError
 from .metrics import global_ncc, nmi, roi_stats
 from .patlak import InputFunction, cumulative_input, parametric_maps
 from .series import FrameSeries
-from .warping import DisplacementField, warp
+from .warping import DisplacementField, warp_series
 
 # analytic plasma curve: bolus peak plus slow biexponential washout
 IFN_PEAK_AMPLITUDE = 20.0   # SUV/min
@@ -192,7 +193,8 @@ def _motion_field(grid, rng):
 
 
 def inject_motion(series: FrameSeries, motion: MotionSpec):
-    """Warp every frame but the reference by a seeded smooth field.
+    """Warp every frame but the reference by a seeded smooth field, stored
+    and applied in float32.
 
     Returns (corrupted series, list of true corrupting DisplacementField, one
     per frame; the reference frame's field is zero)."""
@@ -202,18 +204,11 @@ def inject_motion(series: FrameSeries, motion: MotionSpec):
             f"{series.frames} frames")
     rng = np.random.default_rng(motion.seed)
     grid = series.grid
-    corrupted = np.array(series.data, copy=True)
     true_fields = []
     for t in range(series.frames):
-        if t == motion.reference_index:
-            true_fields.append(DisplacementField(np.zeros((3, *grid), dtype=np.float32),
-                                                 series.voxel_size_mm))
-            continue
-        fld = _motion_field(grid, rng)
-        corrupted[t] = warp(series.data[t], fld).astype(series.data.dtype)
-        true_fields.append(DisplacementField(fld.astype(np.float32),
-                                             series.voxel_size_mm))
-    return series.with_data(corrupted), true_fields
+        fld = np.zeros((3, *grid)) if t == motion.reference_index else _motion_field(grid, rng)
+        true_fields.append(DisplacementField(fld.astype(np.float32), series.voxel_size_mm))
+    return warp_series(series, true_fields), true_fields
 
 
 def endpoint_error(est_fields, true_fields):
@@ -235,7 +230,7 @@ def endpoint_error(est_fields, true_fields):
         if est.data.any():
             # sample the true field at the correction's landing points; the
             # sample positions are float64 whatever the field's dtype
-            resid = warp(resid, est.data)
+            resid = ad.warp(resid, est.data).data
             resid += est.data
         mag = np.sqrt(np.square(resid, out=resid).sum(axis=0))
         total += float(mag.sum())
@@ -258,19 +253,13 @@ def _condition_metrics(series, ifn, t_star, body, tumor_mask):
     }
 
 
-def _motion_series(truth: FrameSeries, true_fields):
-    """The truth warped frame by frame by the true fields."""
-    data = np.empty_like(truth.data)
-    for t, fld in enumerate(true_fields):
-        data[t] = warp(truth.data[t], fld.data) if fld.data.any() else truth.data[t]
-    return truth.with_data(data)
-
-
 def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
                         est_fields, spec: PhantomSpec, ifn: InputFunction,
                         t_star=20.0):
-    """Fit all three conditions (motion-free truth, motion, corrected) and
-    report kinetic statistics, alignment metrics, and field endpoint error."""
+    """Fit three conditions and report their kinetic statistics and alignment
+    metrics, and the field endpoint error. The conditions are the motion-free
+    truth, the motion series (the truth warped by the true fields: bit for bit
+    the series `inject_motion` returns) and the corrected series."""
     if (corrected.grid != truth.grid
             or not np.array_equal(corrected.mid_times, truth.mid_times)
             or not np.array_equal(corrected.durations, truth.durations)):
@@ -283,7 +272,7 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
     # the motion series and each condition's maps are dropped once measured
     report = {
         "motion_free": _condition_metrics(truth, ifn, t_star, body, tumor),
-        "motion": _condition_metrics(_motion_series(truth, true_fields), ifn, t_star,
+        "motion": _condition_metrics(warp_series(truth, true_fields), ifn, t_star,
                                      body, tumor),
         "corrected": _condition_metrics(corrected, ifn, t_star, body, tumor),
     }

@@ -13,7 +13,7 @@ from .errors import ConfigurationError, DimensionError, NumericError
 from .losses import LossConfig, loss_terms
 from .network import DOWN_FACTOR, FramePairSequence, NetVariant
 from .series import FrameSeries
-from .warping import DisplacementField, resample_field, warp
+from .warping import DisplacementField, resample_field, warp_series
 
 
 LOSS = LossConfig()        # smoothness weight 1, NCC window 9
@@ -96,7 +96,7 @@ def preprocess(frame, rng):
 def mean_pool(vol, factor):
     """Anti-aliased downsampling: mean over factor^3 blocks."""
     if factor == 1:
-        return np.array(vol, copy=True)
+        return vol
     d, h, w = vol.shape
     if d % factor or h % factor or w % factor:
         raise DimensionError(f"extents {vol.shape} not divisible by {factor}")
@@ -111,7 +111,7 @@ def pad_to_multiple(vol):
     shape = vol.shape
     target = tuple(-(-s // DOWN_FACTOR) * DOWN_FACTOR for s in shape)
     if target == shape:
-        return np.array(vol, copy=True), shape
+        return vol, shape
     pads = tuple((0, t - s) for s, t in zip(shape, target))
     return np.pad(vol, pads), shape
 
@@ -158,7 +158,7 @@ def _train_step(model, params, seq, adam, lr, step):
     in this call's locals, so it is freed before the next step starts."""
     with ad.Tape() as tape:
         fields = net.forward_fields(model, seq)
-        warped = [warp(ad.constant(np.asarray(m)), f) for m, f in zip(seq.moving, fields)]
+        warped = [ad.warp(m, f) for m, f in zip(seq.moving, fields)]
         loss, sim, smooth = loss_terms(ad.constant(np.asarray(seq.reference)),
                                        warped, fields, LOSS)
     if not np.isfinite(loss.data):
@@ -218,44 +218,26 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
             f"reference index {cfg.reference_index} out of range for {series.frames} frames")
     rng = np.random.default_rng(cfg.seed)
     net_frames, work_shape = _working_series(series, cfg, rng)
-    idx = list(range(series.frames))
-
-    window_len = _window_length(model.variant)
-    chunks = []
-    start = 0
-    while start < len(idx):
-        chunk = idx[start:start + window_len]
-        if len(chunk) < window_len and chunks:
-            chunk = idx[-window_len:]                  # tail overlap
-        chunks.append(chunk)
-        start += window_len
-
-    full_grid = series.grid
-    zero_field = DisplacementField(
-        np.zeros((3, *full_grid), dtype=series.data.dtype),
-        series.voxel_size_mm)
-    fields = {i: zero_field for i in range(series.frames)}
     ref = net_frames[cfg.reference_index]
-    assigned = {cfg.reference_index}       # keeps its zero field
-    for chunk in chunks:
-        if assigned.issuperset(chunk):
-            continue            # pairwise: the reference frame's own window
-        seq = FramePairSequence(ref, [net_frames[i] for i in chunk])
-        est = net.estimate_displacements(model, seq)
-        for i, fld in zip(chunk, est):
-            if i in assigned:
-                continue
-            assigned.add(i)
-            work = crop_to(fld, (3,) + tuple(work_shape))
-            df = DisplacementField(work, tuple(np.asarray(series.voxel_size_mm)
-                                               * cfg.downsample_factor))
-            if cfg.downsample_factor > 1:
-                df = resample_field(df, cfg.downsample_factor)
-            fields[i] = df
+    spacing = tuple(np.asarray(series.voxel_size_mm) * cfg.downsample_factor)
 
-    corrected = np.array(series.data, copy=True)
-    for i in idx:
-        if i != cfg.reference_index:
-            corrected[i] = warp(series.data[i], fields[i].data)
-    out = series.with_data(corrected)
-    return out, [fields[i] for i in range(series.frames)]
+    # windows of window_len from frame 0 on, the last one moved back to end at
+    # the last frame; a frame takes the field of the first window it is in
+    window_len = _window_length(model.variant)
+    last_start = max(series.frames - window_len, 0)
+    fields = {cfg.reference_index: DisplacementField(
+        np.zeros((3, *series.grid), dtype=series.data.dtype), series.voxel_size_mm)}
+    for start in range(0, series.frames, window_len):
+        window = range(min(start, last_start), min(start + window_len, series.frames))
+        if all(i in fields for i in window):
+            continue            # pairwise: the reference frame's own window
+        est = net.estimate_displacements(
+            model, FramePairSequence(ref, [net_frames[i] for i in window]))
+        for i, fld in zip(window, est):
+            if i not in fields:
+                df = DisplacementField(crop_to(fld, (3,) + tuple(work_shape)), spacing)
+                fields[i] = (resample_field(df, cfg.downsample_factor)
+                             if cfg.downsample_factor > 1 else df)
+
+    fields = [fields[i] for i in range(series.frames)]
+    return warp_series(series, fields), fields

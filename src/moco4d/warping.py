@@ -1,4 +1,4 @@
-"""Displacement fields, pull-warping, and field resampling."""
+"""Displacement fields, pull-warping of a series, and field resampling."""
 
 from __future__ import annotations
 
@@ -29,15 +29,17 @@ class DisplacementField:
         return self.data.shape[1:]
 
 
-def warp(volume, field):
-    """Trilinear pull-warp of a [D, H, W] volume, or of each channel of a
-    [C, D, H, W] volume by the same field; accepts arrays or graph tensors.
-
-    out(v) = volume(v + field(v)); samples outside the volume read 0.
-    """
-    graph = isinstance(volume, ad.Tensor) or isinstance(field, ad.Tensor)
-    out = ad.warp(volume, field)
-    return out if graph else out.data
+def warp_series(series, fields):
+    """The series with frame t pull-warped by `fields[t]` (one DisplacementField
+    per frame, on the series grid); a frame whose field is all zero is
+    returned unchanged, bit for bit."""
+    if len(fields) != series.frames:
+        raise DimensionError(f"warp_series: {len(fields)} fields for {series.frames} frames")
+    data = np.array(series.data, copy=True)
+    for frame, fld in zip(data, fields):
+        if fld.data.any():
+            frame[...] = ad.warp(frame, fld.data).data
+    return series.with_data(data)
 
 
 def resample_field(field: DisplacementField, factor: int) -> DisplacementField:

@@ -148,6 +148,32 @@ class TestActivations:
     def test_sigmoid_zero(self):
         assert ad.sigmoid(ad.constant(np.zeros(3))).data[0] == 0.5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_without_overflow(self, dtype):
+        # exp(-x) overflows at x = -100 in float32 and at x = -1000 in float64
+        x = np.array([-1000.0, -100.0, 100.0, 1000.0], dtype=dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            s = ad.sigmoid(ad.constant(x)).data
+        assert s.dtype == dtype
+        assert s[0] == 0.0 and 0.0 < s[1] <= 1e-43 and s[2] == s[3] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_a_wider_reference(self, dtype):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([np.linspace(-80.0, 80.0, 100001),
+                            rng.normal(scale=4.0, size=100000)]).astype(dtype)
+        s = ad.sigmoid(ad.constant(x)).data
+        # x >= 0 keeps the plain formula bit for bit
+        pos = x >= 0
+        assert np.array_equal(s[pos], 1.0 / (1.0 + np.exp(-x[pos])))
+        # the reference is computed in the next wider float; the tolerance
+        # covers exp in the input dtype, which numpy does not round correctly
+        # (2-3 ulp for float32), carried through the division
+        wide = np.float64 if dtype == np.float32 else np.longdouble
+        ref = 1.0 / (1.0 + np.exp(-x.astype(wide)))
+        err = np.abs(s.astype(wide) - ref) / ref
+        assert err.max() <= 4 * np.finfo(dtype).eps
+
     def test_tanh_zero(self):
         assert ad.tanh(ad.constant(np.zeros(3))).data[0] == 0.0
 

@@ -13,7 +13,7 @@ from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.network import FramePairSequence, NetVariant
 from moco4d.patlak import parametric_maps
 from moco4d.series import FrameSeries
-from moco4d.warping import resample_field, warp
+from moco4d.warping import resample_field, warp_series
 
 from oracles import traced_peak_bytes
 
@@ -54,6 +54,38 @@ def test_zero_flow_head_apply_is_identity(phantom, motion_seed):
     report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn, T_STAR)
     assert report["endpoint_error_no_correction"] > 0.0
     assert report["endpoint_error_voxels"] == report["endpoint_error_no_correction"]
+
+
+def test_inject_motion_warps_by_the_stored_fields(phantom):
+    # the corrupted series is the truth warped by the float32 fields that
+    # inject_motion returns, bit for bit
+    _spec, _ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    assert all(f.data.dtype == np.float32 for f in true_fields)
+    assert moving.data.tobytes() == warp_series(truth, true_fields).data.tobytes()
+
+
+def test_evaluate_motion_condition_is_the_injected_series(phantom):
+    # scoring the injected series as the correction reproduces the motion entry
+    spec, ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    report = ph.evaluate_correction(moving, truth, true_fields, true_fields, spec, ifn,
+                                    T_STAR)
+    assert report["motion"] == report["corrected"]
+    assert report["motion"] != report["motion_free"]
+
+
+def test_train_and_apply_leave_the_input_series_unchanged(phantom):
+    # preprocessing overwrites the voxels above the cutoff in its own copy
+    _spec, _ifn, truth = phantom
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    first5 = FrameSeries(moving.data[:5], moving.mid_times[:5], moving.durations[:5],
+                         moving.voxel_size_mm)
+    assert (first5.data > tr.CUTOFF).any()
+    before = first5.data.copy()
+    model, _trace = tr.train(make_model(), VARIANT, [first5], config())
+    tr.apply(model, first5, config())
+    np.testing.assert_array_equal(first5.data, before)
 
 
 def test_reference_frame_passes_through_with_zero_field(phantom):
@@ -253,7 +285,8 @@ def test_apply_on_a_downsampled_grid():
         if i == cfg.reference_index:
             continue
         np.testing.assert_array_equal(fields[i].data, want)
-        np.testing.assert_array_equal(corrected.data[i], warp(moving.data[i], fields[i].data))
+        np.testing.assert_array_equal(corrected.data[i],
+                                      ad.warp(moving.data[i], fields[i].data).data)
 
     b.data[:] = 0.0
     corrected, _ = tr.apply(model, moving, cfg)

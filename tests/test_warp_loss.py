@@ -7,7 +7,8 @@ from moco4d import autodiff as ad
 from moco4d.errors import ConfigurationError, DimensionError, NumericError
 from moco4d.losses import LossConfig, local_ncc, local_ncc_map, loss_terms, smoothness
 from moco4d.phantom import endpoint_error
-from moco4d.warping import DisplacementField, resample_field, warp
+from moco4d.series import FrameSeries
+from moco4d.warping import DisplacementField, resample_field, warp_series
 
 from gradcheck import grad_check
 from oracles import shift_volume, smoothness_naive, warp_trilinear_naive
@@ -19,7 +20,7 @@ class TestWarp:
     def test_zero_field_identity_bit_exact(self):
         rng = np.random.default_rng(0)
         vol = rng.normal(size=(5, 6, 7)).astype(np.float32)
-        out = warp(vol, np.zeros((3, 5, 6, 7), dtype=np.float32))
+        out = ad.warp(vol, np.zeros((3, 5, 6, 7), dtype=np.float32)).data
         assert np.array_equal(out, vol)
 
     @pytest.mark.parametrize("shift", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0)])
@@ -29,7 +30,7 @@ class TestWarp:
         field = np.zeros((3, 6, 6, 6))
         for a in range(3):
             field[a] = shift[a]
-        out = warp(vol, field)
+        out = ad.warp(vol, field).data
         want = shift_volume(vol, *shift)
         assert np.array_equal(out, want)
 
@@ -38,7 +39,7 @@ class TestWarp:
         vol = np.broadcast_to(np.arange(W, dtype=np.float64), (4, 4, W)).copy()
         field = np.zeros((3, 4, 4, W))
         field[2] = 0.5
-        out = warp(vol, field)
+        out = ad.warp(vol, field).data
         np.testing.assert_allclose(out[:, :, :W - 1],
                                    vol[:, :, :W - 1] + 0.5, rtol=0, atol=1e-12)
 
@@ -48,19 +49,19 @@ class TestWarp:
         y = rng.normal(size=(5, 5, 5))
         field = rng.uniform(-1.5, 1.5, size=(3, 5, 5, 5))
         a, b = 2.5, -1.25
-        lhs = warp(a * x + b * y, field)
-        rhs = a * warp(x, field) + b * warp(y, field)
+        lhs = ad.warp(a * x + b * y, field).data
+        rhs = a * ad.warp(x, field).data + b * ad.warp(y, field).data
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_grid_mismatch(self):
         with pytest.raises(DimensionError):
-            warp(np.zeros((4, 4, 4)), np.zeros((3, 5, 4, 4)))
+            ad.warp(np.zeros((4, 4, 4)), np.zeros((3, 5, 4, 4)))
 
     def test_out_of_bounds_reads_zero(self):
         vol = np.ones((4, 4, 4))
         field = np.zeros((3, 4, 4, 4))
         field[0] = 10.0
-        assert np.all(warp(vol, field) == 0.0)
+        assert np.all(ad.warp(vol, field).data == 0.0)
 
     # a grid the warp takes in two z-slabs, the second one partial
     MULTI_SLAB = (7, 48, 64)
@@ -73,7 +74,7 @@ class TestWarp:
         vol = rng.normal(size=grid)
         # displacements in +-3 send many samples, and corners, out of the volume
         field = rng.uniform(-3.0, 3.0, size=(3, *grid))
-        got = warp(vol, field)
+        got = ad.warp(vol, field).data
         assert np.abs(got - warp_trilinear_naive(vol, field)).max() <= 1e-12
 
     def test_float32_rounds_each_corner_term(self):
@@ -83,23 +84,23 @@ class TestWarp:
         rng = np.random.default_rng(17)
         vol = rng.normal(size=(5, 6, 7)).astype(np.float32)
         field = rng.uniform(-3.0, 3.0, size=(3, 5, 6, 7)).astype(np.float32)
-        assert np.array_equal(warp(vol, field), warp_trilinear_naive(vol, field))
+        assert np.array_equal(ad.warp(vol, field).data, warp_trilinear_naive(vol, field))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_channels_bit_identical_to_single_warps(self, dtype):
         rng = np.random.default_rng(16)
         vols = rng.normal(size=(3, *self.MULTI_SLAB)).astype(dtype)
         field = rng.uniform(-3.0, 3.0, size=(3, *self.MULTI_SLAB)).astype(dtype)
-        got = warp(vols, field)
+        got = ad.warp(vols, field).data
         assert got.dtype == dtype
         for c in range(3):
-            assert np.array_equal(got[c], warp(vols[c], field))
+            assert np.array_equal(got[c], ad.warp(vols[c], field).data)
 
     def test_volume_rank_rejected(self):
         with pytest.raises(DimensionError):
-            warp(np.zeros((1, 2, 4, 4, 4)), np.zeros((3, 4, 4, 4)))
+            ad.warp(np.zeros((1, 2, 4, 4, 4)), np.zeros((3, 4, 4, 4)))
         with pytest.raises(DimensionError):
-            warp(np.zeros((2, 4, 4, 4)), np.zeros((3, 4, 4, 5)))
+            ad.warp(np.zeros((2, 4, 4, 4)), np.zeros((3, 4, 4, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_rejected(self, bad):
@@ -122,7 +123,7 @@ class TestWarp:
             coord = np.arange(n).reshape([-1 if i == a else 1 for i in range(3)])
             field[a] = rng.choice(targets, size=grid) - coord
         field = field.astype(dtype)
-        got, want = warp(vol, field), warp_trilinear_naive(vol, field)
+        got, want = ad.warp(vol, field).data, warp_trilinear_naive(vol, field)
         if dtype == np.float32:
             assert np.array_equal(got, want)
         else:
@@ -145,10 +146,48 @@ class TestWarp:
         params = {"field": ad.param("field", field)}
 
         def f(p):
-            return ad.sum_all(ad.mul(warp(ad.constant(vol), p["field"]), weights))
+            return ad.sum_all(ad.mul(ad.warp(ad.constant(vol), p["field"]), weights))
 
         err = grad_check(f, params, h=1e-4, samples=field.size, rng=rng)
         assert err <= 1e-6
+
+
+class TestWarpSeries:
+    GRID = (5, 6, 7)
+
+    def _series(self, rng):
+        data = rng.normal(size=(3, *self.GRID)).astype(np.float32)
+        return FrameSeries(data, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+
+    def test_warps_each_frame_by_its_field(self):
+        rng = np.random.default_rng(23)
+        series = self._series(rng)
+        before = series.data.copy()
+        fields = [DisplacementField(rng.uniform(-2.0, 2.0, size=(3, *self.GRID)))
+                  for _ in range(series.frames)]
+        out = warp_series(series, fields)
+        assert out.data.dtype == np.float32
+        for t, fld in enumerate(fields):
+            assert np.array_equal(out.data[t], ad.warp(series.data[t], fld.data).data)
+        assert np.array_equal(series.data, before)
+        assert np.array_equal(out.mid_times, series.mid_times)
+
+    def test_zero_field_frame_passes_through_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        series = self._series(rng)
+        series.data[1, 0, 0, 0] = -0.0       # a warp would add +0.0 to it
+        fields = [DisplacementField(np.zeros((3, *self.GRID), dtype=np.float32))
+                  for _ in range(series.frames)]
+        fields[2] = DisplacementField(np.full((3, *self.GRID), 0.5, dtype=np.float32))
+        out = warp_series(series, fields)
+        assert out.data[:2].tobytes() == series.data[:2].tobytes()
+        assert not np.array_equal(out.data[2], series.data[2])
+
+    def test_field_count_rejected(self):
+        series = self._series(np.random.default_rng(25))
+        zero = DisplacementField(np.zeros((3, *self.GRID)))
+        with pytest.raises(DimensionError):
+            warp_series(series, [zero] * 2)
 
 
 def _endpoint_error_per_component(est_fields, true_fields):
@@ -157,8 +196,8 @@ def _endpoint_error_per_component(est_fields, true_fields):
     for est, true in zip(est_fields, true_fields):
         resid = np.zeros((3, *true.grid))
         for a in range(3):
-            resid[a] = est.data[a] + warp(true.data[a].astype(np.float64),
-                                          est.data.astype(np.float64))
+            resid[a] = est.data[a] + ad.warp(true.data[a].astype(np.float64),
+                                             est.data.astype(np.float64)).data
         mag = np.sqrt(np.sum(resid ** 2, axis=0))
         total += float(mag.sum())
         count += mag.size
@@ -363,7 +402,7 @@ class TestGradients:
         cfg = LossConfig(lam=1.0, ncc_window=3)
 
         def f(p):
-            warped = warp(ad.constant(mov), p["field"])
+            warped = ad.warp(ad.constant(mov), p["field"])
             return loss_terms(ad.constant(ref), [warped], [p["field"]], cfg)[0]
 
         err = grad_check(f, params, h=1e-4, samples=150, rng=rng)
@@ -377,7 +416,7 @@ class TestGradients:
         params = {"field": ad.param("field", field)}
 
         def f(p):
-            return ad.mean_all(ad.square(warp(vols, p["field"])))
+            return ad.mean_all(ad.square(ad.warp(vols, p["field"])))
 
         err = grad_check(f, params, h=1e-4, samples=150, rng=rng)
         assert err <= 1e-4
@@ -386,4 +425,4 @@ class TestGradients:
         # the warp differentiates in the field only; training warps constants
         vol = ad.param("vol", np.zeros((4, 4, 4)))
         with pytest.raises(ConfigurationError):
-            warp(vol, np.zeros((3, 4, 4, 4)))
+            ad.warp(vol, np.zeros((3, 4, 4, 4)))
