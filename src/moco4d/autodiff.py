@@ -191,9 +191,11 @@ def mean_all(a):
 # -- activations ----------------------------------------------------------------
 
 def sigmoid(x):
-    # no exp overflows: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below
+    # no exp overflows: with e = exp(-|x|) <= 1 the numerator max(e, x >= 0)
+    # is 1 for x >= 0, giving 1 / (1 + exp(-x)), and e = exp(x) below
     x = _as_tensor(x)
-    out = np.exp(np.minimum(x.data, 0.0)) / (1.0 + np.exp(-np.abs(x.data)))
+    e = np.exp(-np.abs(x.data))
+    out = np.maximum(e, x.data >= 0) / (1.0 + e)
 
     def vjp(g):
         return (g * out * (1.0 - out),)

@@ -18,6 +18,10 @@ the four gate pre-activations. With a k x k x k kernel the product is a
 convolution over feature maps [C, D, H, W]; the dense cell is the same cell
 with a kernel of no spatial extent, K [4*hidden, features + hidden] applied
 as a matrix-vector product to flat vectors [features].
+
+The kernel and bias are two named parameters, `<prefix>.k` and `<prefix>.b`,
+held in the model's one parameter dict; a step reads the hidden and input
+sizes off the kernel's shape and starts from a zero state when it has none.
 """
 
 from __future__ import annotations
@@ -30,26 +34,7 @@ from . import autodiff as ad
 from .errors import DimensionError
 
 GATES = ("i", "f", "c", "o")
-
-
-@dataclass
-class ConvLstmParams:
-    """Packed gate kernel k [4h, c + h, *kernel] and bias b [4h]; a 2-D k is
-    the dense cell."""
-
-    k: ad.Tensor
-    b: ad.Tensor
-
-    @property
-    def hidden(self):
-        return self.k.shape[0] // 4
-
-    @property
-    def in_channels(self):
-        return self.k.shape[1] - self.hidden
-
-    def named(self):
-        return {self.k.name: self.k, self.b.name: self.b}
+FORGET_BIAS = 1.0
 
 
 @dataclass
@@ -58,15 +43,10 @@ class ConvLstmState:
     c: ad.Tensor
 
 
-def _gate_bias(hidden, forget_bias, dtype):
-    b = np.zeros(4 * hidden, dtype=dtype)
-    b[hidden:2 * hidden] = forget_bias
-    return b
-
-
-def init_convlstm_params(rng, in_channels, hidden, kernel=(3, 3, 3), forget_bias=1.0,
-                         dtype=np.float32, prefix="convlstm"):
-    """Uniform +-sqrt(1/fan_in) kernels; forget-gate bias starts at `forget_bias`.
+def init_convlstm_params(rng, in_channels, hidden, kernel=(3, 3, 3), dtype=np.float32,
+                         prefix="convlstm"):
+    """{`prefix`.k, `prefix`.b}: uniform +-sqrt(1/fan_in) kernels, and a
+    bias that is FORGET_BIAS on the forget gate and zero elsewhere.
 
     `kernel` is the spatial kernel shape, () for the dense cell. Draws per
     gate, W then U, and writes each into its block of the packed kernel."""
@@ -78,14 +58,10 @@ def init_convlstm_params(rng, in_channels, hidden, kernel=(3, 3, 3), forget_bias
         rows = slice(g * hidden, (g + 1) * hidden)
         k[rows, :in_channels] = rng.uniform(-lim_w, lim_w, k[rows, :in_channels].shape)
         k[rows, in_channels:] = rng.uniform(-lim_u, lim_u, k[rows, in_channels:].shape)
-    return ConvLstmParams(ad.param(f"{prefix}.k", k),
-                          ad.param(f"{prefix}.b", _gate_bias(hidden, forget_bias, dtype)))
-
-
-def zero_state(hidden, spatial, dtype=np.float32):
-    shape = (hidden, *spatial)
-    return ConvLstmState(ad.constant(np.zeros(shape, dtype=dtype)),
-                         ad.constant(np.zeros(shape, dtype=dtype)))
+    b = np.zeros(4 * hidden, dtype=dtype)
+    b[hidden:2 * hidden] = FORGET_BIAS
+    return {f"{prefix}.k": ad.param(f"{prefix}.k", k),
+            f"{prefix}.b": ad.param(f"{prefix}.b", b)}
 
 
 def _lstm_update(pre, c_prev):
@@ -99,18 +75,24 @@ def _lstm_update(pre, c_prev):
     return ConvLstmState(h, c)
 
 
-def convlstm_step(p: ConvLstmParams, x_t, prev: ConvLstmState) -> ConvLstmState:
-    """One recurrent update on feature maps [C, D, H, W], or on vectors [C]
-    for the dense cell."""
-    if x_t.shape[0] != p.in_channels:
+def convlstm_step(k, b, x_t, prev) -> ConvLstmState:
+    """One recurrent update of the cell with packed kernel k and bias b on
+    feature maps [C, D, H, W], or on vectors [C] for the dense cell; a `prev`
+    of None is the zero state."""
+    hidden = k.shape[0] // 4
+    if x_t.shape[0] != k.shape[1] - hidden:
         raise DimensionError(f"convlstm_step: {x_t.shape[0]} input channels, "
-                             f"params expect {p.in_channels}")
-    if prev.h.shape != (p.hidden, *x_t.shape[1:]):
+                             f"params expect {k.shape[1] - hidden}")
+    spatial = x_t.shape[1:]
+    if prev is None:
+        zero = ad.constant(np.zeros((hidden, *spatial), dtype=x_t.dtype))
+        prev = ConvLstmState(zero, zero)
+    elif prev.h.shape != (hidden, *spatial):
         raise DimensionError(f"convlstm_step: state shape {prev.h.shape} does not match "
-                             f"hidden {p.hidden} over {x_t.shape[1:]}")
+                             f"hidden {hidden} over {spatial}")
     xh = ad.concat_channels([x_t, prev.h])
-    if p.k.data.ndim == 5:
-        pre = ad.conv3d(xh, p.k, p.b, stride=1, padding=p.k.shape[2] // 2)
+    if k.data.ndim == 5:
+        pre = ad.conv3d(xh, k, b, stride=1, padding=k.shape[2] // 2)
     else:
-        pre = ad.add(ad.matvec(p.k, xh), p.b)
-    return _lstm_update(ad.reshape(pre, (4, p.hidden, *x_t.shape[1:])), prev.c)
+        pre = ad.add(ad.matvec(k, xh), b)
+    return _lstm_update(ad.reshape(pre, (4, hidden, *spatial)), prev.c)

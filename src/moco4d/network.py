@@ -89,19 +89,16 @@ class FramePairSequence:
 
 @dataclass
 class NetParams:
+    """A variant and its parameters, one dict of named tensors: `<layer>.k`
+    and `<layer>.b` for each conv layer and for the recurrent cell (`bcell`,
+    `scell` or `blstm`), e.g. "enc0.k", "bcell.b"."""
+
     variant: NetVariant
-    convs: dict            # name -> (kernels Tensor, bias Tensor)
-    cell: object = None    # ConvLstmParams for recurrent variants (2-D kernel for B-LSTM)
+    tensors: dict
     bottleneck_spatial: tuple = None  # fixed for B-LSTM only
 
     def named(self):
-        out = {}
-        for k, b in self.convs.values():
-            out[k.name] = k
-            out[b.name] = b
-        if self.cell is not None:
-            out.update(self.cell.named())
-        return out
+        return self.tensors
 
 
 def _conv_param(rng, name, cin, cout, dtype, std=None):
@@ -113,40 +110,37 @@ def _conv_param(rng, name, cin, cout, dtype, std=None):
         k = rng.uniform(-lim, lim, (cout, cin, 3, 3, 3)).astype(dtype)
     else:
         k = (rng.normal(0.0, std, (cout, cin, 3, 3, 3))).astype(dtype)
-    return (ad.param(f"{name}.k", k),
-            ad.param(f"{name}.b", np.zeros(cout, dtype=dtype)))
+    return {f"{name}.k": ad.param(f"{name}.k", k),
+            f"{name}.b": ad.param(f"{name}.b", np.zeros(cout, dtype=dtype))}
 
 
 def init_net_params(variant, rng, extents=None, dtype=np.float32) -> NetParams:
     """Build a parameter set; `extents` is required only for the dense-LSTM
     variant (the flattened feature length depends on the working grid)."""
     variant = NetVariant(variant)
-    convs = {}
-    for name, cin, cout, _stride in _ENCODER:
-        convs[name] = _conv_param(rng, name, cin, cout, dtype)
-    for name, cin, cout in _DECODER:
-        convs[name] = _conv_param(rng, name, cin, cout, dtype)
+    tensors = {}
+    for name, cin, cout, *_ in _ENCODER + _DECODER:
+        tensors.update(_conv_param(rng, name, cin, cout, dtype))
 
-    cell = None
     bottleneck_spatial = None
     if variant == NetVariant.B_CONVLSTM:
-        cell = cl.init_convlstm_params(rng, 32, 32, dtype=dtype, prefix="bcell")
+        tensors.update(cl.init_convlstm_params(rng, 32, 32, dtype=dtype, prefix="bcell"))
     elif variant == NetVariant.S_CONVLSTM:
-        convs["sconv"] = _conv_param(rng, "sconv", 16, 16, dtype)
-        cell = cl.init_convlstm_params(rng, 16, 32, dtype=dtype, prefix="scell")
+        tensors.update(_conv_param(rng, "sconv", 16, 16, dtype))
+        tensors.update(cl.init_convlstm_params(rng, 16, 32, dtype=dtype, prefix="scell"))
     elif variant == NetVariant.B_LSTM:
         if extents is None:
             raise ConfigurationError("dense-LSTM variant needs fixed input extents")
         _check_extents(extents)
         bottleneck_spatial = tuple(e // DOWN_FACTOR for e in extents)
         s = int(np.prod(bottleneck_spatial))
-        cell = cl.init_convlstm_params(rng, 32 * s, s, kernel=(), dtype=dtype,
-                                       prefix="blstm")
-        convs["restore"] = _conv_param(rng, "restore", 1, 32, dtype)
+        tensors.update(cl.init_convlstm_params(rng, 32 * s, s, kernel=(), dtype=dtype,
+                                               prefix="blstm"))
+        tensors.update(_conv_param(rng, "restore", 1, 32, dtype))
 
     flow_in = 32 if variant == NetVariant.S_CONVLSTM else 16
-    convs["flow"] = _conv_param(rng, "flow", flow_in, 3, dtype, std=FLOW_STD)
-    return NetParams(variant, convs, cell, bottleneck_spatial)
+    tensors.update(_conv_param(rng, "flow", flow_in, 3, dtype, std=FLOW_STD))
+    return NetParams(variant, tensors, bottleneck_spatial)
 
 
 def _check_extents(extents):
@@ -156,8 +150,8 @@ def _check_extents(extents):
 
 
 def _conv_block(params, name, x, stride):
-    k, b = params.convs[name]
-    y = ad.conv3d(x, k, b, stride=stride, padding=1)
+    t = params.tensors
+    y = ad.conv3d(x, t[f"{name}.k"], t[f"{name}.b"], stride=stride, padding=1)
     return ad.leaky_relu(y, LEAKY_SLOPE)
 
 
@@ -180,18 +174,6 @@ def _decode(params, skips, x):
     return x
 
 
-def _flow(params, x):
-    k, b = params.convs["flow"]
-    return ad.conv3d(x, k, b, stride=1, padding=1)
-
-
-def _cell_step(cell, x, state):
-    """One cell update on x, from a zero state at the first frame."""
-    if state is None:
-        state = cl.zero_state(cell.hidden, x.shape[1:], dtype=x.dtype)
-    return cl.convlstm_step(cell, x, state)
-
-
 def forward_fields(params: NetParams, seq: FramePairSequence):
     """Graph-building forward pass; returns one 3-channel field tensor per
     moving frame, at the input grid.
@@ -208,7 +190,8 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
                 f"dense-LSTM params were built for bottleneck {params.bottleneck_spatial}, "
                 f"input gives {want}")
 
-    dtype = params.convs["enc0"][0].dtype
+    t = params.tensors
+    dtype = t["enc0.k"].dtype
     ref = ad.constant(np.asarray(seq.reference, dtype=dtype))
     state = None
     fields = []
@@ -218,21 +201,23 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
 
         # temporal context enters at the bottleneck for the B-variants
         if variant == NetVariant.B_CONVLSTM:
-            state = _cell_step(params.cell, bottom, state)
+            state = cl.convlstm_step(t["bcell.k"], t["bcell.b"], bottom, state)
             bottom = state.h
         elif variant == NetVariant.B_LSTM:
             # the dense cell reads the bottleneck flattened; its h is one channel
-            state = _cell_step(params.cell, ad.reshape(bottom, (-1,)), state)
+            state = cl.convlstm_step(t["blstm.k"], t["blstm.b"],
+                                     ad.reshape(bottom, (-1,)), state)
             bottom = _conv_block(params, "restore",
                                  ad.reshape(state.h, (1, *bottom.shape[1:])), stride=1)
 
         feat = _decode(params, skips, bottom)
 
         if variant == NetVariant.S_CONVLSTM:
-            state = _cell_step(params.cell, _conv_block(params, "sconv", feat, stride=1), state)
+            state = cl.convlstm_step(t["scell.k"], t["scell.b"],
+                                     _conv_block(params, "sconv", feat, stride=1), state)
             feat = state.h
 
-        fields.append(_flow(params, feat))
+        fields.append(ad.conv3d(feat, t["flow.k"], t["flow.b"], stride=1, padding=1))
     return fields
 
 
@@ -240,7 +225,5 @@ def estimate_displacements(params: NetParams, seq: FramePairSequence):
     """Inference entry point for the variant `params` was built for: one
     displacement array [3,D,H,W] per moving frame, displacements in voxels of
     the input grid."""
-    if params.variant == NetVariant.PAIRWISE and len(seq) != 1:
-        raise ConfigurationError("pairwise registration takes one moving frame at a time")
     fields = forward_fields(params, seq)
     return [f.data for f in fields]

@@ -266,6 +266,8 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
         raise DimensionError("corrected/truth grids or frame timings differ")
     if len(true_fields) != truth.frames:
         raise DimensionError(f"{len(true_fields)} true fields for {truth.frames} frames")
+    if tuple(spec.grid) != truth.grid:
+        raise DimensionError(f"phantom grid {tuple(spec.grid)} != series grid {truth.grid}")
     body = spec.body.mask(spec.grid)
     tumor = spec.tumor.mask(spec.grid)
 

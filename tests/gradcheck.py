@@ -120,16 +120,16 @@ def make_gradcheck_instance(extents=(16, 16, 32), frames=5, seed=12345,
     rng = np.random.default_rng(seed)
     params = net.init_net_params(variant, np.random.default_rng(seed + 1),
                                  extents=extents, dtype=np.float64)
-    k, b = params.convs["flow"]
-    k.data[:] = rng.normal(0.0, 2e-5, k.data.shape)
-    b.data[:] = 0.3
+    t = params.tensors
+    t["flow.k"].data[:] = rng.normal(0.0, 2e-5, t["flow.k"].data.shape)
+    t["flow.b"].data[:] = 0.3
     for name, off in _BIAS_OFFSETS.items():
-        if name in params.convs:
-            params.convs[name][1].data[:] = off
+        if f"{name}.b" in t:
+            t[f"{name}.b"].data[:] = off
     if variant == net.NetVariant.S_CONVLSTM:
         # the serial cell sees O(3) features; shrink its gate kernels so the
         # sigmoid/tanh gates stay unsaturated and gradients flow upstream
-        params.cell.k.data *= 0.05
+        t["scell.k"].data *= 0.05
 
     ref = rng.normal(size=extents) + 1.0
     movs = []

@@ -41,6 +41,11 @@ def sigmoid_np(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def sigmoid_two_exp(x):
+    """Overflow-free sigmoid from two exps: exp(min(x, 0)) / (1 + exp(-|x|))."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def convlstm_step_scalar(w, u, b, x_t, h_prev, c_prev):
     """Straight-line transcription of the gate equations using the naive conv.
 

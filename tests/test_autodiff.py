@@ -7,7 +7,7 @@ from moco4d import autodiff as ad
 from moco4d.errors import DimensionError, NumericError
 
 from gradcheck import grad_check
-from oracles import conv3d_naive, interp_resize_naive
+from oracles import conv3d_naive, interp_resize_naive, sigmoid_two_exp
 
 
 def box_sum_naive(x, w):
@@ -173,6 +173,22 @@ class TestActivations:
         ref = 1.0 / (1.0 + np.exp(-x.astype(wide)))
         err = np.abs(s.astype(wide) - ref) / ref
         assert err.max() <= 4 * np.finfo(dtype).eps
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_the_two_exp_formula(self, dtype):
+        # one exp gives the bits of the two-exp form, sign bits included,
+        # without overflow; NaN stays NaN
+        rng = np.random.default_rng(15)
+        special = [0.0, -0.0, 100.0, -100.0, 709.0, -709.0, 745.0, -745.0,
+                   1000.0, -1000.0, np.inf, -np.inf]
+        x = np.concatenate([rng.uniform(-120.0, 120.0, 200000), special]).astype(dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            s = ad.sigmoid(ad.constant(x)).data
+            want = sigmoid_two_exp(x)
+        assert s.dtype == want.dtype == dtype
+        assert s.tobytes() == want.tobytes()
+        nan = np.array([np.nan, -np.nan, 1.0], dtype=dtype)
+        assert np.isnan(ad.sigmoid(ad.constant(nan)).data[:2]).all()
 
     def test_tanh_zero(self):
         assert ad.tanh(ad.constant(np.zeros(3))).data[0] == 0.0

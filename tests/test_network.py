@@ -5,7 +5,7 @@ import pytest
 
 from moco4d import autodiff as ad
 from moco4d import network as net
-from moco4d.errors import ConfigurationError, DimensionError
+from moco4d.errors import DimensionError
 from moco4d.network import FramePairSequence, NetVariant
 
 from gradcheck import grad_check, make_gradcheck_instance, window_loss_fn
@@ -27,7 +27,7 @@ def make_params(variant, seed=0, extents=(16, 16, 32), dtype=np.float64):
 
 
 def zero_flow_head(params):
-    k, b = params.convs["flow"]
+    k, b = params.tensors["flow.k"], params.tensors["flow.b"]
     k.data[:] = 0.0
     b.data[:] = 0.0
     return params
@@ -37,7 +37,7 @@ def mid_cell_flow_head(params, rng, kernel_std=1e-3):
     """Re-init the flow head so displacement values sit mid-cell (~0.3 voxel),
     away from the trilinear interpolation kinks at integer offsets where the
     warp is not differentiable."""
-    k, b = params.convs["flow"]
+    k, b = params.tensors["flow.k"], params.tensors["flow.b"]
     k.data[:] = rng.normal(0.0, kernel_std, k.data.shape)
     b.data[:] = 0.3
     return params
@@ -148,9 +148,9 @@ class TestEquivalences:
         extents = (16, 16, 16)
         pw = make_params(NetVariant.PAIRWISE, seed=3, extents=extents)
         mf = make_params(NetVariant.MULTI_FRAME, seed=3, extents=extents)
-        for name in pw.convs:
-            mf.convs[name][0].data[:] = pw.convs[name][0].data
-            mf.convs[name][1].data[:] = pw.convs[name][1].data
+        assert mf.tensors.keys() == pw.tensors.keys()
+        for name, p in pw.tensors.items():
+            mf.tensors[name].data[:] = p.data
         rng = np.random.default_rng(4)
         ref = rng.normal(size=extents)
         mov = rng.normal(size=extents)
@@ -185,11 +185,21 @@ class TestEquivalences:
         # the last frame of the reversed window is the first of the forward one
         assert not np.allclose(f_rev[-1], f_fwd[0])
 
-    def test_pairwise_rejects_windows(self):
-        params = make_params(NetVariant.PAIRWISE)
-        seq = FramePairSequence(np.zeros((16, 16, 16)), [np.zeros((16, 16, 16))] * 2)
-        with pytest.raises(ConfigurationError):
-            net.estimate_displacements(params, seq)
+    def test_pairwise_window_gives_one_frame_fields(self):
+        # every variant runs frame by frame, so a pairwise model on a window
+        # returns, bit for bit, the field of each frame registered alone
+        extents = (16, 16, 16)
+        params = make_params(NetVariant.PAIRWISE, seed=11, extents=extents,
+                             dtype=np.float32)
+        rng = np.random.default_rng(11)
+        mid_cell_flow_head(params, rng, kernel_std=0.05)
+        ref = rng.normal(size=extents).astype(np.float32)
+        movs = [rng.normal(size=extents).astype(np.float32) for _ in range(5)]
+        fields = net.estimate_displacements(params, FramePairSequence(ref, movs))
+        assert len(fields) == 5
+        for mov, f in zip(movs, fields):
+            alone = net.estimate_displacements(params, FramePairSequence(ref, [mov]))
+            np.testing.assert_array_equal(f, alone[0])
 
 
 class TestGradients:

@@ -45,7 +45,7 @@ def test_zero_flow_head_apply_is_identity(phantom, motion_seed):
     spec, ifn, truth = phantom
     moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=motion_seed))
     model = make_model()
-    k, b = model.convs["flow"]
+    k, b = model.tensors["flow.k"], model.tensors["flow.b"]
     k.data[:] = 0.0
     b.data[:] = 0.0
     corrected, fields = tr.apply(model, moving, config())
@@ -247,6 +247,17 @@ def test_evaluate_rejects_other_frame_timing(phantom):
                                    T_STAR)
 
 
+def test_evaluate_rejects_a_phantom_of_another_grid(phantom):
+    # the body and tumor masks come from the spec's grid; a spec of another
+    # grid than the series is rejected instead of broadcast
+    _spec, ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=0))
+    assert truth.grid == (16, 16, 32)
+    with pytest.raises(DimensionError):
+        ph.evaluate_correction(moving, truth, true_fields, true_fields,
+                               ph.PhantomSpec(grid=(16, 16, 16)), ifn, T_STAR)
+
+
 def test_apply_windows(phantom):
     # 8 frames in windows of 5: frames 1-4 take the fields of window 0-4, and
     # frames 5-7 those of the tail window 3-7
@@ -275,7 +286,7 @@ def test_apply_on_a_downsampled_grid():
     moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
     cfg = tr.TrainConfig(downsample_factor=2)
     model = make_model()
-    k, b = model.convs["flow"]
+    k, b = model.tensors["flow.k"], model.tensors["flow.b"]
     k.data[:] = 0.0
     b.data[:] = (0.25, 0.0, 0.0)
     corrected, fields = tr.apply(model, moving, cfg)
