@@ -2,7 +2,8 @@
 
 Primitives are recorded on an explicit tape (execution order is a valid
 topological order), and `backward` walks the tape in reverse accumulating
-vector-Jacobian products. Volumes may be stored in float32; gradient checks
+vector-Jacobian products. A tape is differentiated once: `backward` consumes
+it, freeing each node's graph as the walk passes it. Volumes may be stored in float32; gradient checks
 should build float64 graphs. Reductions accumulate in float64 regardless of
 storage dtype. `forward_diff`, `box_sum` and `interp_resize` are one separable
 linear map: one matrix per changed axis, a VJP that applies the transposes,
@@ -214,11 +215,20 @@ def tanh(x):
 
 
 def leaky_relu(x, slope=0.2):
+    """max(x, slope * x) for 0 < slope < 1, written over x's own buffer.
+
+    The input is overwritten, so call it only on a tensor that nothing else
+    reads: in `src/` that is the fresh conv3d output in
+    `network._conv_block`, whose VJP does not read its output. The VJP reads
+    only the sign of the output, which is the sign of the input."""
     x = _as_tensor(x)
-    out = np.where(x.data > 0, x.data, slope * x.data)
+    out = np.maximum(x.data, slope * x.data, out=x.data)
 
     def vjp(g):
-        return (np.where(x.data > 0, g, g * slope),)
+        # in g's memory layout, which the bias gradient's summation order
+        # follows; a plain product would take the layout of `out`
+        return (np.multiply(g, np.maximum(out > 0, slope, dtype=g.dtype),
+                            out=np.empty_like(g)),)
 
     return _node(out, [x], vjp, "leaky_relu")
 
@@ -648,22 +658,35 @@ def warp(volume, field):
 # -- backward pass --------------------------------------------------------------------
 
 def backward(tape, loss):
-    """Accumulate gradients of a scalar loss over the tape.
+    """Accumulate gradients of a scalar loss over the tape, consuming it.
 
     Returns a dict mapping parameter name -> gradient array for every named
     leaf tensor with requires_grad that the loss depends on. A vjp may return
     None for a parent that does not require a gradient.
+
+    The walk frees the graph as it goes: each node is popped off the tape,
+    its VJP is run, and its `parents` and `vjp` are dropped. Every consumer
+    of a node comes later on the tape and has already been walked, so an
+    activation is freed once the walk has passed it, and the pass holds no
+    more than the forward pass did. The tape is left empty; a second call
+    on it raises ConfigurationError.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if not tape.nodes:
+        raise ConfigurationError("backward: the tape holds no graph; a tape is "
+                                 "differentiated once")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     by_name: dict[str, np.ndarray] = {}
-    for node in reversed(tape.nodes):
+    while tape.nodes:
+        node = tape.nodes.pop()
         g = grads.pop(id(node), None)
-        if g is None or node.vjp is None:
+        vjp, parents = node.vjp, node.parents
+        node.vjp, node.parents = None, ()
+        if g is None or vjp is None:
             continue
-        pgrads = node.vjp(g)
-        for parent, pg in zip(node.parents, pgrads):
+        pgrads = vjp(g)
+        for parent, pg in zip(parents, pgrads):
             if not parent.requires_grad:
                 continue
             if pg.shape != parent.data.shape:

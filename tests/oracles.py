@@ -46,6 +46,12 @@ def sigmoid_two_exp(x):
     return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
+def leaky_relu_where(x, slope, g):
+    """Leaky ReLU by select: the output np.where(x > 0, x, slope * x) and the
+    VJP np.where(x > 0, g, g * slope) of an output gradient g."""
+    return np.where(x > 0, x, slope * x), np.where(x > 0, g, g * slope)
+
+
 def convlstm_step_scalar(w, u, b, x_t, h_prev, c_prev):
     """Straight-line transcription of the gate equations using the naive conv.
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from moco4d import autodiff as ad
-from moco4d.errors import DimensionError, NumericError
+from moco4d.errors import ConfigurationError, DimensionError, NumericError
 
 from gradcheck import grad_check
-from oracles import conv3d_naive, interp_resize_naive, sigmoid_two_exp
+from oracles import conv3d_naive, interp_resize_naive, leaky_relu_where, sigmoid_two_exp
 
 
 def box_sum_naive(x, w):
@@ -197,6 +197,40 @@ class TestActivations:
         y = ad.leaky_relu(ad.constant(np.array([-1.0, 2.0])), slope=0.2)
         np.testing.assert_allclose(y.data, [-0.2, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_matches_the_where_formula(self, dtype):
+        # max(x, slope*x) and g * max(out > 0, slope) give the select
+        # formulas' bytes, signed zeros, infinities, NaNs and subnormals
+        # included, and the VJP keeps the incoming gradient's layout
+        rng = np.random.default_rng(16)
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max,
+                   info.tiny, -info.tiny, info.smallest_subnormal,
+                   -info.smallest_subnormal, 3 * info.smallest_subnormal,
+                   -3 * info.smallest_subnormal]
+        n = 2 * 7 * 7 * 1024 - len(special)
+        x = np.concatenate([rng.normal(scale=10.0, size=n), special]).astype(dtype)
+        g = np.concatenate([rng.normal(size=n), special]).astype(dtype)
+        x = x.reshape(2, 7, 7, 1024)
+        g = rng.permutation(g).reshape(x.shape)
+        want, want_g = leaky_relu_where(x, 0.2, g)
+        # channels last in memory, as a conv3d output is
+        x_last = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        with ad.Tape():
+            y = ad.leaky_relu(ad.param("x", x_last), slope=0.2)
+        got_g = y.vjp(g)[0]
+        assert y.data.dtype == got_g.dtype == dtype
+        assert y.data.tobytes(order="A") == want.tobytes(order="A")
+        assert got_g.strides == want_g.strides
+        assert got_g.tobytes(order="A") == want_g.tobytes(order="A")
+
+    def test_leaky_relu_overwrites_its_input(self):
+        data = np.array([-1.0, 2.0, -0.0, 3.5])
+        x = ad.constant(data)
+        y = ad.leaky_relu(x, slope=0.2)
+        assert np.shares_memory(y.data, data)
+        np.testing.assert_array_equal(data, [-0.2, 2.0, -0.0, 3.5])
+
     def test_ranges(self):
         # scale kept below float64 saturation (tanh rounds to 1.0 near |x|~19)
         x = np.random.default_rng(0).normal(scale=4.0, size=1000)
@@ -235,6 +269,29 @@ class TestBackward:
             y = ad.mul(x, 2.0)
         with pytest.raises(DimensionError):
             ad.backward(tape, y)
+
+    def test_backward_consumes_the_tape(self):
+        # every node is popped and drops its parents and VJP, so the graph
+        # is freed as the walk passes it
+        x = ad.param("x", np.array([1.0, -2.0, 3.0]))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.mul(ad.tanh(x), ad.square(x)))
+        nodes = list(tape.nodes)
+        assert len(nodes) == 4
+        grads = ad.backward(tape, loss)
+        assert set(grads) == {"x"}
+        assert tape.nodes == []
+        assert all(n.parents == () and n.vjp is None for n in nodes)
+
+    def test_second_backward_on_a_tape_rejected(self):
+        # a consumed tape would otherwise give no gradients, and a training
+        # step would take an Adam step without them
+        x = ad.param("x", np.ones(3))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.square(x))
+        ad.backward(tape, loss)
+        with pytest.raises(ConfigurationError):
+            ad.backward(tape, loss)
 
     def test_gradient_shape_mismatch_rejected(self):
         x = ad.param("x", np.ones(3))

@@ -141,6 +141,18 @@ class TestInference:
         assert peak(5) < 1.5 * peak(1)
 
 
+    def test_conv_block_activates_the_conv_output_in_place(self):
+        # the pre-activation copy is never made: the activation is written
+        # over the conv output, which its VJP does not read
+        params = make_params(NetVariant.PAIRWISE, dtype=np.float32)
+        x = np.random.default_rng(13).normal(size=(2, 16, 16, 32)).astype(np.float32)
+        with ad.Tape() as tape:
+            y = net._conv_block(params, "enc0", ad.constant(x), stride=1)
+        conv = y.parents[0]
+        assert [n.op for n in tape.nodes] == ["conv3d", "leaky_relu"]
+        assert np.shares_memory(y.data, conv.data)
+
+
 class TestEquivalences:
     def test_multi_frame_equals_pairwise_with_shared_weights(self):
         # identical moving frames through the window: every field equals the
