@@ -3,11 +3,12 @@
 Primitives are recorded on an explicit tape (execution order is a valid
 topological order), and `backward` walks the tape in reverse accumulating
 vector-Jacobian products. A tape is differentiated once: `backward` consumes
-it, freeing each node's graph as the walk passes it. Volumes may be stored in float32; gradient checks
-should build float64 graphs. Reductions accumulate in float64 regardless of
-storage dtype. `forward_diff`, `box_sum` and `interp_resize` are one separable
-linear map: one matrix per changed axis, a VJP that applies the transposes,
-and products in the matrices' dtype (float64 for `box_sum`).
+it, freeing each node's graph as the walk passes it. Volumes may be stored in
+float32; gradient checks should build float64 graphs. Reductions accumulate in
+float64 regardless of storage dtype. `forward_diff`, `box_sum` and
+`interp_resize` are one separable linear map: one matrix per changed axis, a
+VJP that applies the transposes, and products in the matrices' dtype (float64
+for `box_sum`).
 """
 
 from __future__ import annotations

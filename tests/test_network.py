@@ -140,7 +140,6 @@ class TestInference:
 
         assert peak(5) < 1.5 * peak(1)
 
-
     def test_conv_block_activates_the_conv_output_in_place(self):
         # the pre-activation copy is never made: the activation is written
         # over the conv output, which its VJP does not read
