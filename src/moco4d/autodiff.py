@@ -9,9 +9,19 @@ float64 regardless of storage dtype. `forward_diff`, `box_sum` and
 `interp_resize` are one separable linear map: one matrix per changed axis, a
 VJP that applies the transposes, and products in the matrices' dtype (float64
 for `box_sum`).
+
+The graph and the values are held apart. The tape, and every parent link,
+hold a `Node`: parents, VJP, name, op, shape and dtype, and only a weak
+reference to the value. The `Tensor` that a primitive returns owns the
+value. A VJP captures the arrays it reads (an operand, or its own output)
+and nothing else: never a `Tensor`, whose value it would keep alive. So a
+value that no VJP reads is freed as soon as the forward code drops its
+tensor, while the graph stays whole.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -31,7 +41,7 @@ class Tape:
     """Ordered record of primitive applications for one scalar computation."""
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Node] = []
 
     def __enter__(self):
         _TAPES.append(self)
@@ -46,22 +56,77 @@ def _active_tape():
     return _TAPES[-1] if _TAPES else None
 
 
-class Tensor:
-    """A dense array plus the bookkeeping needed for reverse-mode accumulation."""
+class Node:
+    """One tensor's place in the graph, without its value.
 
-    __slots__ = ("data", "parents", "vjp", "name", "requires_grad", "op")
+    Holds the parents (nodes), the VJP, name, op, whether a gradient is
+    needed, and the value's shape and dtype. The value itself is only weakly
+    referenced: it lives while its `Tensor` or some VJP holds it."""
+
+    __slots__ = ("parents", "vjp", "name", "requires_grad", "op", "shape", "dtype",
+                 "_value")
+
+    def __init__(self, data, parents, vjp, name, requires_grad, op):
+        self.parents = parents
+        self.vjp = vjp
+        self.name = name
+        self.requires_grad = requires_grad
+        self.op = op
+        self.shape, self.dtype = data.shape, data.dtype
+        self._value = weakref.ref(data)
+
+    @property
+    def data(self):
+        """The value while it lives; once freed, a zero-stride stand-in of
+        the value's shape and dtype (its `nbytes` is the value's)."""
+        value = self._value()
+        if value is None:
+            return np.broadcast_to(np.zeros((), self.dtype), self.shape)
+        return value
+
+
+class Tensor:
+    """A dense array and its `Node`; the array is the tensor's own.
+
+    `parents` (nodes), `vjp`, `name`, `requires_grad` and `op` are the
+    node's. A taped result goes on the tape as its node, so dropping the
+    tensor frees the value unless a VJP captured it."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, parents=(), vjp=None, name=None, requires_grad=False,
                  op=None):
         self.data = np.asarray(data)
-        self.parents = parents
-        self.vjp = vjp
-        self.name = name
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self.op = op
+        parents = tuple(p.node for p in parents)
+        self.node = Node(self.data, parents, vjp, name,
+                         requires_grad or any(p.requires_grad for p in parents), op)
         tape = _active_tape()
         if tape is not None and parents:
-            tape.nodes.append(self)
+            tape.nodes.append(self.node)
+
+    @property
+    def parents(self):
+        return self.node.parents
+
+    @property
+    def vjp(self):
+        return self.node.vjp
+
+    @vjp.setter
+    def vjp(self, fn):
+        self.node.vjp = fn
+
+    @property
+    def name(self):
+        return self.node.name
+
+    @property
+    def requires_grad(self):
+        return self.node.requires_grad
+
+    @property
+    def op(self):
+        return self.node.op
 
     @property
     def shape(self):
@@ -146,7 +211,8 @@ def mul(a, b):
     a = _as_tensor(a)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
-    return _node(a.data * b.data, [a, b], lambda g: (g * b.data, g * a.data), "mul")
+    av, bv = a.data, b.data
+    return _node(av * bv, [a, b], lambda g: (g * bv, g * av), "mul")
 
 
 def div(a, b):
@@ -155,26 +221,29 @@ def div(a, b):
         return mul(a, 1.0 / float(b))
     if a.data.shape != b.data.shape:
         raise DimensionError(f"div: shape mismatch {a.data.shape} vs {b.data.shape}")
-    out = a.data / b.data
+    bv = b.data
+    out = a.data / bv
 
     def vjp(g):
-        return g / b.data, -g * out / b.data
+        return g / bv, -g * out / bv
 
     return _node(out, [a, b], vjp, "div")
 
 
 def square(a):
     a = _as_tensor(a)
-    return _node(a.data * a.data, [a], lambda g: (2.0 * g * a.data,), "square")
+    av = a.data
+    return _node(av * av, [a], lambda g: (2.0 * g * av,), "square")
 
 
 def sum_all(a):
     """Sum of all entries, accumulated in float64."""
     a = _as_tensor(a)
     out = np.asarray(a.data.sum(dtype=np.float64))
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        return (np.full(a.data.shape, float(g), dtype=a.data.dtype),)
+        return (np.full(shape, float(g), dtype=dtype),)
 
     return _node(out, [a], vjp, "sum")
 
@@ -183,9 +252,10 @@ def mean_all(a):
     a = _as_tensor(a)
     n = a.data.size
     out = np.asarray(a.data.sum(dtype=np.float64) / n)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        return (np.full(a.data.shape, float(g) / n, dtype=a.data.dtype),)
+        return (np.full(shape, float(g) / n, dtype=dtype),)
 
     return _node(out, [a], vjp, "mean")
 
@@ -254,7 +324,7 @@ def concat_channels(parts):
     offs = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def vjp(g):
-        return tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts)))
+        return tuple(g[lo:hi] for lo, hi in zip(offs[:-1], offs[1:]))
 
     return _node(np.concatenate([p.data for p in parts]), parts, vjp, "concat")
 
@@ -262,20 +332,22 @@ def concat_channels(parts):
 def stack_frames(parts):
     """Stack same-shape tensors along a new leading axis."""
     parts = [_as_tensor(p) for p in parts]
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(parts)))
-
-    return _node(np.stack([p.data for p in parts], axis=0), parts, vjp, "stack")
+    return _node(np.stack([p.data for p in parts], axis=0), parts, lambda g: tuple(g),
+                 "stack")
 
 
 def select_frame(x, i):
     """Slice one entry off the leading axis."""
     x = _as_tensor(x)
     i = int(i)
+    dtype = x.data.dtype
+    # the gradient is laid out in x's memory order, as np.zeros_like(x) lays
+    # it out: the conv3d bias gradient downstream sums in memory order
+    order = sorted(range(x.data.ndim), key=lambda a: -abs(x.data.strides[a]))
+    stored = [x.data.shape[a] for a in order]
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(stored, dtype=dtype).transpose(np.argsort(order))
         gx[i] = g
         return (gx,)
 
@@ -289,10 +361,8 @@ def matvec(m, x):
     if m.data.ndim != 2 or x.data.ndim != 1 or m.data.shape[1] != x.data.shape[0]:
         raise DimensionError(f"matvec: {m.data.shape} @ {x.data.shape}")
 
-    def vjp(g):
-        return np.outer(g, x.data), m.data.T @ g
-
-    return _node(m.data @ x.data, [m, x], vjp, "matvec")
+    mv, xv = m.data, x.data
+    return _node(mv @ xv, [m, x], lambda g: (np.outer(g, xv), mv.T @ g), "matvec")
 
 
 # -- 3-D convolution --------------------------------------------------------------
@@ -450,15 +520,20 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
     if not _finite(x.data):
         raise NumericError("conv3d: non-finite input")
     geo = _ConvGrid(x.data.shape[1:], k.shape[2], stride, padding)
+    # the input gradient reads only the kernel, the kernel gradient only the
+    # input
+    kv = k if x.requires_grad else None
+    xv = x.data if kernels.requires_grad else None
+    k_shape, bias_grad = k.shape, bias.requires_grad
 
     def vjp(g):
         gr = geo.out_rows(g)
         gx = gk = gb = None
-        if x.requires_grad:
-            gx = _conv3d_input_grad(gr, kernels.data, geo)
-        if kernels.requires_grad:
-            gk = _conv3d_kernel_grad(x.data, gr, k.shape, geo)
-        if bias.requires_grad:
+        if kv is not None:
+            gx = _conv3d_input_grad(gr, kv, geo)
+        if xv is not None:
+            gk = _conv3d_kernel_grad(xv, gr, k_shape, geo)
+        if bias_grad:
             gb = g.sum(axis=(1, 2, 3), dtype=np.float64).astype(g.dtype)
         return gx, gk, gb
 
@@ -487,11 +562,12 @@ def _along(x, a, axis):
 def _separable(x, mats, op):
     """Tape node for the linear map that applies `mats` ({axis: matrix})."""
     x = _as_tensor(x)
+    dtype = x.data.dtype
 
     def apply(y, transpose):
         for axis, a in mats.items():
             y = _along(y, a.T if transpose else a, axis)
-        return y.astype(x.data.dtype, copy=False)
+        return y.astype(dtype, copy=False)
 
     return _node(apply(x.data, False), [x], lambda g: (apply(g, True),), op)
 
@@ -609,6 +685,7 @@ def warp(volume, field):
         raise ConfigurationError("warp: differentiable in the field only, "
                                  "the volume must not require a gradient")
     chans = volume.data.reshape((-1,) + grid)       # [C, D, H, W]
+    disp = field.data
     # shape of the zero-bordered copy, and the volume's place in it
     bordered = (len(chans),) + tuple(n + 2 * _WARP_BORDER for n in grid)
     inner = (slice(None),) + (slice(_WARP_BORDER, -_WARP_BORDER),) * 3
@@ -630,8 +707,8 @@ def warp(volume, field):
         # tape; the node requires a gradient only through the field
         g = g.reshape(chans.shape)
         flat = flat_bordered()
-        gfield = np.zeros_like(field.data)
-        for zs, base, (wz, wy, wx) in _warp_taps(field.data):
+        gfield = np.zeros_like(disp)
+        for zs, base, (wz, wy, wx) in _warp_taps(disp):
             gs, gf = g[:, zs], gfield[:, zs]
             for a, b, c, off in corners:
                 gv = gs * np.stack(gather(flat, base, off))
@@ -666,22 +743,25 @@ def backward(tape, loss):
     None for a parent that does not require a gradient.
 
     The walk frees the graph as it goes: each node is popped off the tape,
-    its VJP is run, and its `parents` and `vjp` are dropped. Every consumer
-    of a node comes later on the tape and has already been walked, so an
-    activation is freed once the walk has passed it, and the pass holds no
-    more than the forward pass did. The tape is left empty; a second call
-    on it raises ConfigurationError.
+    its VJP is run, and its `parents` and `vjp` are dropped, and with the
+    VJP the values it captured. Every consumer of a node comes later on the
+    tape and has already been walked, so an activation is freed once the
+    walk has passed it, and the pass holds no more than the forward pass
+    did. The tape is left empty; a second call on it raises
+    ConfigurationError, as does a loss that was not recorded on the tape.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not tape.nodes:
         raise ConfigurationError("backward: the tape holds no graph; a tape is "
                                  "differentiated once")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if loss.node not in tape.nodes:
+        raise ConfigurationError("backward: the loss was not recorded on this tape")
+    grads: dict[Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     by_name: dict[str, np.ndarray] = {}
     while tape.nodes:
         node = tape.nodes.pop()
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         vjp, parents = node.vjp, node.parents
         node.vjp, node.parents = None, ()
         if g is None or vjp is None:
@@ -690,13 +770,13 @@ def backward(tape, loss):
         for parent, pg in zip(parents, pgrads):
             if not parent.requires_grad:
                 continue
-            if pg.shape != parent.data.shape:
+            if pg.shape != parent.shape:
                 raise DimensionError(
-                    f"gradient shape {pg.shape} != parameter shape {parent.data.shape}")
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
+                    f"gradient shape {pg.shape} != parameter shape {parent.shape}")
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                grads[id(parent)] = pg
+                grads[parent] = pg
             if parent.vjp is None and parent.name is not None:
-                by_name[parent.name] = grads[id(parent)]
+                by_name[parent.name] = grads[parent]
     return by_name

@@ -1,5 +1,7 @@
 """Core tensor ops: convolution oracles, adjoint identities, gradient checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,31 @@ class TestBackward:
         ad.backward(tape, loss)
         with pytest.raises(ConfigurationError):
             ad.backward(tape, loss)
+
+    def test_loss_off_the_tape_rejected(self):
+        # a loss built after the tape closed has no node on it: the walk
+        # would reach nothing and return no gradients, and a training step
+        # would take an Adam step without them
+        x = ad.param("x", np.ones(3))
+        with ad.Tape() as tape:
+            y = ad.square(x)
+        loss = ad.sum_all(y)
+        with pytest.raises(ConfigurationError):
+            ad.backward(tape, loss)
+
+    def test_a_concat_part_is_freed_once_the_caller_drops_it(self):
+        # concat's VJP slices the gradient and reads no part, so the tape
+        # keeps a part's node but not its value
+        x = ad.param("x", np.ones((2, 3)))
+        with ad.Tape() as tape:
+            part = ad.mul(x, 2.0)
+            value = weakref.ref(part.data)
+            joined = ad.concat_channels([part, x])
+            del part
+            loss = ad.sum_all(joined)
+        assert value() is None
+        grads = ad.backward(tape, loss)
+        np.testing.assert_array_equal(grads["x"], np.full((2, 3), 3.0))
 
     def test_gradient_shape_mismatch_rejected(self):
         x = ad.param("x", np.ones(3))
