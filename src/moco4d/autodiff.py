@@ -14,9 +14,11 @@ The graph and the values are held apart. The tape, and every parent link,
 hold a `Node`: parents, VJP, name, op, shape and dtype, and only a weak
 reference to the value. The `Tensor` that a primitive returns owns the
 value. A VJP captures the arrays it reads (an operand, or its own output)
-and nothing else: never a `Tensor`, whose value it would keep alive. So a
-value that no VJP reads is freed as soon as the forward code drops its
-tensor, while the graph stays whole.
+and shapes, dtypes and offsets, nothing else: never a `Tensor` or a list of
+them, which would keep their values alive. So a value that no VJP reads is
+freed as soon as the forward code drops its tensor, while the graph stays
+whole. `leaky_relu` still writes over its input's buffer, so the input's
+node reads the activated values, as its tensor did before.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def _active_tape():
 
 
 class Node:
-    """One tensor's place in the graph, without its value.
+    """One tensor's place in the graph, without its value; what a tape and a
+    parent link hold.
 
     Holds the parents (nodes), the VJP, name, op, whether a gradient is
     needed, and the value's shape and dtype. The value itself is only weakly
@@ -187,7 +190,7 @@ def _node(data, parents, vjp, op):
     # no VJP, so an inference pass holds no graph
     if _active_tape() is None:
         return Tensor(data, op=op)
-    return Tensor(data, parents=tuple(parents), vjp=vjp, op=op)
+    return Tensor(data, parents=parents, vjp=vjp, op=op)
 
 
 # -- arithmetic primitives -----------------------------------------------------

@@ -186,10 +186,10 @@ def test_train_frees_each_step_before_the_next(phantom):
     assert peak(2) <= 1.15 * peak(1)
 
 
-def taped_step(model, seed):
+def taped_step(model):
     """The taped forward pass and loss of one training step on a 5-frame
     16x16x32 window of random frames; returns (tape, loss)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(12)
     ref = rng.normal(size=(16, 16, 32)).astype(np.float32)
     seq = FramePairSequence(ref, [rng.normal(size=ref.shape).astype(np.float32)
                                   for _ in range(5)])
@@ -205,7 +205,7 @@ def test_the_tape_keeps_only_the_values_a_vjp_reads():
     # products and sums feed only sums, adds and box sums: no VJP reads them,
     # so they are freed once the forward pass drops them; every value below
     # is read by its own VJP or by its consumer's
-    tape, _loss = taped_step(make_model(), 12)
+    tape, _loss = taped_step(make_model())
     by_op = {}
     for node in tape.nodes:
         by_op.setdefault(node.op, []).append(node)
@@ -231,7 +231,7 @@ def test_backward_peaks_at_what_the_forward_pass_holds():
     model = make_model()
     tracemalloc.start()
     try:
-        tape, loss = taped_step(model, 12)
+        tape, loss = taped_step(model)
         held = tracemalloc.get_traced_memory()[0]
         taped = sum(n.data.nbytes for n in tape.nodes)
         tracemalloc.reset_peak()
