@@ -299,10 +299,7 @@ def leaky_relu(x, slope=0.2):
     out = np.maximum(x.data, slope * x.data, out=x.data)
 
     def vjp(g):
-        # in g's memory layout, which the bias gradient's summation order
-        # follows; a plain product would take the layout of `out`
-        return (np.multiply(g, np.maximum(out > 0, slope, dtype=g.dtype),
-                            out=np.empty_like(g)),)
+        return (g * np.maximum(out > 0, slope, dtype=g.dtype),)
 
     return _node(out, [x], vjp, "leaky_relu")
 
@@ -343,14 +340,10 @@ def select_frame(x, i):
     """Slice one entry off the leading axis."""
     x = _as_tensor(x)
     i = int(i)
-    dtype = x.data.dtype
-    # the gradient is laid out in x's memory order, as np.zeros_like(x) lays
-    # it out: the conv3d bias gradient downstream sums in memory order
-    order = sorted(range(x.data.ndim), key=lambda a: -abs(x.data.strides[a]))
-    stored = [x.data.shape[a] for a in order]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        gx = np.zeros(stored, dtype=dtype).transpose(np.argsort(order))
+        gx = np.zeros(shape, dtype=dtype)
         gx[i] = g
         return (gx,)
 
@@ -370,130 +363,146 @@ def matvec(m, x):
 
 # -- 3-D convolution --------------------------------------------------------------
 #
-# One channels-last kernel serves the forward pass and both VJPs. The input is
-# padded once (and, for stride 2, up to even extents), laid out as
-# [Dp, Hp, Wp, C] and split into its stride**3 parity sub-volumes, each
-# flattened to rows of C channels: `rows` is [stride**3, N, C] over a
-# sub-volume grid (Dg, Hg, Wg) with N = Dg*Hg*Wg. Output voxel (d, h, w) is
-# row r = d*Hg*Wg + h*Wg + w of that grid, and tap (i, j, l) reads sub-volume
-# (i%s, j%s, l%s) at row r + off with off = (i//s)*Hg*Wg + (j//s)*Wg + l//s,
-# so every tap is a contiguous row window. Rows with h >= Ho or w >= Wo are
-# computed and discarded (forward) or carry a zero gradient (VJPs).
+# One plane-interleaved layout serves the forward pass and both VJPs. The input
+# is padded once and stored as [Dp, C, s*s, Hg, Wg] for stride s: each z-plane
+# holds every channel, and each channel its s*s in-plane parity sub-planes of
+# Hg x Wg (for stride 2 the padded rows and columns split by parity). Flat,
+# with P = s*s*Hg*Wg, channel c of plane z*s + i sits at (i*C + c)*P past plane
+# z*s, so the pair (z-tap, channel) has the one stride P. In-plane tap (j, l)
+# reads sub-plane (j%s, l%s) at the offset (j//s)*Wg + l//s, and output voxel
+# (h, w) of a plane is row h*Wg + w. So the [ks*C, rows] operand of each of
+# the ks*ks in-plane taps is a strided view, with no copy, and a conv is one
+# [C_out, ks*C] x [ks*C, rows] GEMM per in-plane tap, batched over
+# _CONV_PLANES output planes. Rows with w >= Wo are computed and discarded
+# (forward) or carry a zero gradient (VJPs).
 
-_CONV_CHUNK_ROWS = 4096
-
-
-class _ConvGrid:
-    """Row geometry of one conv3d call on the channels-last parity layout."""
-
-    def __init__(self, spatial, ks, stride, padding):
-        padded = [n + 2 * padding for n in spatial]
-        self.grid = [-(-n // stride) for n in padded]  # Dg, Hg, Wg
-        self.outs = [(n - ks) // stride + 1 for n in padded]  # Do, Ho, Wo
-        self.spatial, self.stride, self.padding = tuple(spatial), stride, padding
-        _, hg, wg = self.grid
-        do, ho, wo = self.outs
-        self.rows = self.grid[0] * hg * wg
-        # rows [0, m) hold every output voxel; each tap window stays inside N
-        self.m = (do - 1) * hg * wg + (ho - 1) * wg + wo
-        s = stride
-        self.taps = [((i % s) * s * s + (j % s) * s + l % s,
-                      (i // s) * hg * wg + (j // s) * wg + l // s)
-                     for i in range(ks) for j in range(ks) for l in range(ks)]
-
-    def to_rows(self, x):
-        """[C, D, H, W] -> zero-padded parity rows [stride**3, N, C]."""
-        c = x.shape[0]
-        s, p = self.stride, self.padding
-        d, h, w = self.spatial
-        dg, hg, wg = self.grid
-        xp = np.zeros((dg * s, hg * s, wg * s, c), dtype=x.dtype)
-        xp[p:p + d, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
-        xp = xp.reshape(dg, s, hg, s, wg, s, c).transpose(1, 3, 5, 0, 2, 4, 6)
-        return np.ascontiguousarray(xp).reshape(s ** 3, self.rows, c)
-
-    def from_rows(self, rows):
-        """Adjoint of `to_rows`: parity rows -> [C, D, H, W]."""
-        c = rows.shape[-1]
-        s, p = self.stride, self.padding
-        d, h, w = self.spatial
-        dg, hg, wg = self.grid
-        xp = rows.reshape(s, s, s, dg, hg, wg, c).transpose(3, 0, 4, 1, 5, 2, 6)
-        xp = xp.reshape(dg * s, hg * s, wg * s, c)
-        return np.ascontiguousarray(xp[p:p + d, p:p + h, p:p + w].transpose(3, 0, 1, 2))
-
-    def out_rows(self, g):
-        """[C_out, Do, Ho, Wo] -> rows [N, C_out], zero off the output."""
-        do, ho, wo = self.outs
-        gr = np.zeros((*self.grid, g.shape[0]), dtype=g.dtype)
-        gr[:do, :ho, :wo] = g.transpose(1, 2, 3, 0)
-        return gr.reshape(self.rows, g.shape[0])
-
-    def chunks(self):
-        for r0 in range(0, self.m, _CONV_CHUNK_ROWS):
-            yield r0, min(r0 + _CONV_CHUNK_ROWS, self.m)
+_CONV_PLANES = 4
 
 
-def _tap_kernels(k, dtype):
-    """[C_out, C_in, ks, ks, ks] -> one [C_in, C_out] matrix per tap."""
-    cout, cin = k.shape[:2]
-    return np.ascontiguousarray(k.transpose(2, 3, 4, 1, 0).reshape(-1, cin, cout),
-                                dtype=dtype)
+def _parities(spatial, pad, s):
+    """Where x [C, D, H, W] goes in its plane layout: for each in-plane parity
+    sub-plane, (parity, rows and columns of x, rows and columns of the
+    sub-plane)."""
+    _, h, w = spatial
+    for a in range(s):
+        for b in range(s):
+            h0, w0 = (a - pad) % s, (b - pad) % s
+            r, q = (h0 + pad) // s, (w0 + pad) // s
+            yield (a * s + b, (slice(h0, None, s), slice(w0, None, s)),
+                   (slice(r, r + len(range(h0, h, s))), slice(q, q + len(range(w0, w, s)))))
 
 
-def _conv3d_fwd(x, k, geo):
-    """Correlation of x [C_in, D, H, W] with k; returns [C_out, Do, Ho, Wo].
+def _planes(x, pad, s):
+    """[C, D, H, W] -> zero-padded plane layout [D + 2*pad, C, s*s, Hg, Wg]; a
+    negative pad crops."""
+    if pad < 0:
+        x, pad = x[:, -pad:pad, -pad:pad, -pad:pad], 0
+    c, d, h, w = x.shape
+    hg, wg = (-(-(n + 2 * pad) // s) for n in (h, w))
+    xp = np.zeros((d + 2 * pad, c, s * s, hg, wg), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for par, (xh, xw), (ph, pw) in _parities(x.shape[1:], pad, s):
+        xp[pad:pad + d, :, par, ph, pw] = xt[:, :, xh, xw]
+    return xp
 
-    Runs in row chunks; a chunk accumulates one [m, C_in] x [C_in, C_out]
-    GEMM per tap over that tap's row window.
-    """
-    cout = k.shape[0]
-    rows = geo.to_rows(x)
-    kt = _tap_kernels(k, x.dtype)
-    do, ho, wo = geo.outs
-    _, hg, wg = geo.grid
-    y = np.empty((do * hg * wg, cout), dtype=x.dtype)
-    tmp = np.empty((_CONV_CHUNK_ROWS, cout), dtype=x.dtype)
-    for r0, r1 in geo.chunks():
-        acc, t = y[r0:r1], tmp[:r1 - r0]
-        for n, (s, off) in enumerate(geo.taps):
-            win = rows[s, r0 + off:r1 + off]
+
+def _from_planes(xp, pad, s, spatial):
+    """Adjoint of `_planes` for pad >= 0: plane layout -> [C, D, H, W]."""
+    d = spatial[0]
+    x = np.empty((xp.shape[1], *spatial), dtype=xp.dtype)
+    for par, (xh, xw), (ph, pw) in _parities(spatial, pad, s):
+        x[:, :, xh, xw] = xp[pad:pad + d, :, par, ph, pw].transpose(1, 0, 2, 3)
+    return x
+
+
+def _conv_extents(xp_shape, ks, s):
+    """Output extents (Do, Ho, Wo) and row count of a conv on a plane layout."""
+    dp, _, _, hg, wg = xp_shape
+    do, ho, wo = (dp - ks) // s + 1, hg - (ks - 1) // s, wg - (ks - 1) // s
+    return (do, ho, wo), (ho - 1) * wg + wo
+
+
+def _plane_batches(do):
+    for z0 in range(0, do, _CONV_PLANES):
+        yield z0, min(z0 + _CONV_PLANES, do)
+
+
+def _tap_views(xp, ks, s, z0, z1):
+    """Per in-plane tap (j, l), the no-copy [z1 - z0, ks*C, rows] operand of
+    output planes z0..z1-1: entry [z, i*C + c, r] is input plane (z0 + z)*s + i,
+    channel c, at row r past the tap's offset."""
+    _, c, _, hg, wg = xp.shape
+    _, rows = _conv_extents(xp.shape, ks, s)
+    q, p = hg * wg, s * s * hg * wg
+    flat, item = xp.reshape(-1), xp.itemsize
+    for j in range(ks):
+        for l in range(ks):
+            off = z0 * s * c * p + ((j % s) * s + l % s) * q + (j // s) * wg + l // s
+            yield np.lib.stride_tricks.as_strided(
+                flat[off:], (z1 - z0, ks * c, rows), (s * c * p * item, p * item, item))
+
+
+def _in_plane_taps(k, dtype):
+    """[C_out, C_in, ks, ks, ks] -> per in-plane tap (j, l) the [C_out, ks*C_in]
+    matrix whose column i*C_in + c is k[:, c, i, j, l]."""
+    cout, cin, ks = k.shape[:3]
+    return np.ascontiguousarray(k.transpose(3, 4, 0, 2, 1), dtype=dtype).reshape(
+        ks * ks, cout, ks * cin)
+
+
+def _correlate(xp, k, s):
+    """Correlation of a plane layout with k; returns a [C_out, Do, Ho, Wo]
+    view. Per batch of output planes, one batched GEMM per in-plane tap and
+    one accumulate pass."""
+    cout, _, ks = k.shape[:3]
+    kt = _in_plane_taps(k, xp.dtype)
+    (do, ho, wo), rows = _conv_extents(xp.shape, ks, s)
+    wg = xp.shape[-1]
+    y = np.empty((do, cout, ho * wg), dtype=xp.dtype)
+    tmp = np.empty((_CONV_PLANES, cout, rows), dtype=xp.dtype)
+    for z0, z1 in _plane_batches(do):
+        acc, t = y[z0:z1, :, :rows], tmp[:z1 - z0]
+        for n, a in enumerate(_tap_views(xp, ks, s, z0, z1)):
             if n == 0:
-                np.matmul(win, kt[n], out=acc)
+                np.matmul(kt[n], a, out=acc)
             else:
-                np.matmul(win, kt[n], out=t)
+                np.matmul(kt[n], a, out=t)
                 acc += t
-    y = y.reshape(do, hg, wg, cout)[:, :ho, :wo]
-    return y.transpose(3, 0, 1, 2)
+    return y.reshape(do, cout, ho, wg)[..., :wo].transpose(1, 0, 2, 3)
 
 
-def _conv3d_input_grad(gr, k, geo):
-    """Adjoint of `_conv3d_fwd` in its input, from output-gradient rows."""
-    cin = k.shape[1]
-    kt = _tap_kernels(k, gr.dtype).transpose(0, 2, 1).copy()  # [taps, C_out, C_in]
-    gx = np.zeros((geo.stride ** 3, geo.rows, cin), dtype=gr.dtype)
-    tmp = np.empty((_CONV_CHUNK_ROWS, cin), dtype=gr.dtype)
-    for r0, r1 in geo.chunks():
-        g, t = gr[r0:r1], tmp[:r1 - r0]
-        for n, (s, off) in enumerate(geo.taps):
-            np.matmul(g, kt[n], out=t)
-            gx[s, r0 + off:r1 + off] += t
-    return geo.from_rows(gx)
-
-
-def _conv3d_kernel_grad(x, gr, k_shape, geo):
-    """Gradient in the kernel: per row chunk, one [C_in, m] x [m, C_out] GEMM
-    per tap."""
+def _kernel_grad(xp, gp, k_shape, s):
+    """Gradient in the kernel from the input's plane layout and the output
+    gradient gp [Do, C_out, Ho*Wg]: per batch and in-plane tap one batched
+    GEMM [ks*C_in, rows] x [rows, C_out], summed over the batch."""
     cout, cin, ks = k_shape[:3]
-    rows = geo.to_rows(x)
-    gk = np.zeros((len(geo.taps), cin, cout), dtype=gr.dtype)
-    tmp = np.empty((cin, cout), dtype=gr.dtype)
-    for r0, r1 in geo.chunks():
-        g = gr[r0:r1]
-        for n, (s, off) in enumerate(geo.taps):
-            np.matmul(rows[s, r0 + off:r1 + off].T, g, out=tmp)
-            gk[n] += tmp
-    return np.ascontiguousarray(gk.reshape(ks, ks, ks, cin, cout).transpose(4, 3, 0, 1, 2))
+    _, rows = _conv_extents(xp.shape, ks, s)
+    gk = np.zeros((ks * ks, ks * cin, cout), dtype=gp.dtype)
+    tmp = np.empty((_CONV_PLANES, ks * cin, cout), dtype=gp.dtype)
+    for z0, z1 in _plane_batches(gp.shape[0]):
+        gt, t = gp[z0:z1, :, :rows].transpose(0, 2, 1), tmp[:z1 - z0]
+        for n, a in enumerate(_tap_views(xp, ks, s, z0, z1)):
+            gk[n] += np.matmul(a, gt, out=t).sum(axis=0)
+    return np.ascontiguousarray(gk.reshape(ks, ks, ks, cin, cout).transpose(4, 3, 2, 0, 1))
+
+
+def _scatter_input_grad(gp, k, xp_shape, s):
+    """Adjoint of `_correlate` in its input, as a plane layout: each batched
+    GEMM [ks*C_in, C_out] x [C_out, rows] is added through the tap views, one
+    z-tap i at a time, since planes s*z + i are distinct within a batch only
+    for one i."""
+    cin, ks = k.shape[1:3]
+    kt = _in_plane_taps(k, gp.dtype).transpose(0, 2, 1).copy()
+    _, rows = _conv_extents(xp_shape, ks, s)
+    gxp = np.zeros(xp_shape, dtype=gp.dtype)
+    tmp = np.empty((_CONV_PLANES, ks * cin, rows), dtype=gp.dtype)
+    for z0, z1 in _plane_batches(gp.shape[0]):
+        g, t = gp[z0:z1, :, :rows], tmp[:z1 - z0]
+        for n, a in enumerate(_tap_views(gxp, ks, s, z0, z1)):
+            np.matmul(kt[n], g, out=t)
+            for lo in range(0, ks * cin, cin):
+                a[:, lo:lo + cin] += t[:, lo:lo + cin]
+    return gxp
 
 
 def conv3d(x, kernels, bias, stride=1, padding=1):
@@ -501,12 +510,17 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
 
     Kernel spatial extent must be 1 or 3, stride 1 or 2, padding 0 or 1.
 
-    All three passes run on one channels-last layout (see the comment above
-    `_ConvGrid`): the input is padded once and split into stride**3 parity
-    sub-volumes flattened to rows, each kernel tap is a contiguous row window
-    at a fixed offset, and the rows are processed in chunks of
-    `_CONV_CHUNK_ROWS`. The input and kernel gradients are only computed for
-    operands that require a gradient.
+    All three passes run on one plane-interleaved layout (see the comment
+    above `_CONV_PLANES`): the input is padded once, and the operand of each
+    in-plane tap is a strided view of it whose GEMM dimension K runs over the
+    z-taps and channels. The output is C-ordered. The VJP copies the output
+    gradient once into a fixed [Do, C_out, Ho, Wg] layout, which the kernel
+    and bias gradients read, so no gradient's bits depend on the incoming
+    gradient's memory layout. At stride 1 the input gradient is the forward
+    kernel run on the output gradient, with the flipped, channel-transposed
+    kernel and padding ks-1-padding; at stride 2 it is a scatter through the
+    tap views. The input and kernel gradients are only computed for operands
+    that require a gradient.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     k = kernels.data
@@ -522,25 +536,33 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
         raise DimensionError(f"conv3d: stride {stride}, padding {padding} unsupported")
     if not _finite(x.data):
         raise NumericError("conv3d: non-finite input")
-    geo = _ConvGrid(x.data.shape[1:], k.shape[2], stride, padding)
+    xp = _planes(x.data, padding, stride)
+    y = np.add(_correlate(xp, k, stride), bias.data.reshape(-1, 1, 1, 1), order="C")
     # the input gradient reads only the kernel, the kernel gradient only the
     # input
     kv = k if x.requires_grad else None
     xv = x.data if kernels.requires_grad else None
     k_shape, bias_grad = k.shape, bias.requires_grad
+    x_spatial, xp_shape, wg = x.data.shape[1:], xp.shape, xp.shape[-1]
 
     def vjp(g):
-        gr = geo.out_rows(g)
+        cout, do, ho, wo = g.shape
+        gp = np.zeros((do, cout, ho, wg), dtype=g.dtype)
+        gp[..., :wo] = g.transpose(1, 0, 2, 3)
+        gp = gp.reshape(do, cout, ho * wg)
         gx = gk = gb = None
-        if kv is not None:
-            gx = _conv3d_input_grad(gr, kv, geo)
+        if kv is not None and stride == 1:
+            flipped = kv.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+            gx = _correlate(_planes(g, k_shape[2] - 1 - padding, 1), flipped, 1)
+        elif kv is not None:
+            gx = _from_planes(_scatter_input_grad(gp, kv, xp_shape, stride), padding,
+                              stride, x_spatial)
         if xv is not None:
-            gk = _conv3d_kernel_grad(xv, gr, k_shape, geo)
+            gk = _kernel_grad(_planes(xv, padding, stride), gp, k_shape, stride)
         if bias_grad:
-            gb = g.sum(axis=(1, 2, 3), dtype=np.float64).astype(g.dtype)
+            gb = gp.sum(axis=(0, 2), dtype=np.float64).astype(g.dtype)
         return gx, gk, gb
 
-    y = _conv3d_fwd(x.data, k, geo) + bias.data.reshape(-1, 1, 1, 1)
     return _node(y, [x, kernels, bias], vjp, "conv3d")
 
 
