@@ -433,13 +433,13 @@ def _tap_views(xp, ks, s, z0, z1):
     channel c, at row r past the tap's offset."""
     _, c, _, hg, wg = xp.shape
     _, rows = _conv_extents(xp.shape, ks, s)
-    q, p, item = hg * wg, s * s * hg * wg, xp.itemsize
+    q, p = hg * wg, s * s * hg * wg
+    flat, item = xp.reshape(-1), xp.itemsize
     for j in range(ks):
         for l in range(ks):
             off = z0 * s * c * p + ((j % s) * s + l % s) * q + (j // s) * wg + l // s
-            # a view of xp's buffer, which numpy checks the view stays inside
-            yield np.ndarray((z1 - z0, ks * c, rows), xp.dtype, xp, off * item,
-                             (s * c * p * item, p * item, item))
+            yield np.lib.stride_tricks.as_strided(
+                flat[off:], (z1 - z0, ks * c, rows), (s * c * p * item, p * item, item))
 
 
 def _in_plane_taps(k, dtype):
