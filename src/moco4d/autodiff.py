@@ -416,7 +416,11 @@ def _from_planes(xp, pad, s, spatial):
 
 
 def _conv_extents(xp_shape, ks, s):
-    """Output extents (Do, Ho, Wo) and row count of a conv on a plane layout."""
+    """Output extents (Do, Ho, Wo) and row count of a conv on a plane layout.
+
+    For s in (1, 2) and ks in (1, 3), (Hp - ks)//s + 1 over the padded
+    extent Hp equals Hg - (ks - 1)//s over its sub-plane extent
+    Hg = ceil(Hp / s), whichever parity Hp has; so too for W."""
     dp, _, _, hg, wg = xp_shape
     do, ho, wo = (dp - ks) // s + 1, hg - (ks - 1) // s, wg - (ks - 1) // s
     return (do, ho, wo), (ho - 1) * wg + wo
