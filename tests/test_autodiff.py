@@ -239,7 +239,7 @@ class TestActivations:
         x = x.reshape(2, 7, 7, 1024)
         g = rng.permutation(g).reshape(x.shape)
         want, want_g = leaky_relu_where(x, 0.2, g)
-        # channels last in memory, as a conv3d output is
+        # an input laid out otherwise than the gradient: channels last in memory
         x_last = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         with ad.Tape():
             y = ad.leaky_relu(ad.param("x", x_last), slope=0.2)
