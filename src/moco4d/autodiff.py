@@ -369,14 +369,23 @@ def matvec(m, x):
 # Hg x Wg (for stride 2 the padded rows and columns split by parity). Flat,
 # with P = s*s*Hg*Wg, channel c of plane z*s + i sits at (i*C + c)*P past plane
 # z*s, so the pair (z-tap, channel) has the one stride P. In-plane tap (j, l)
-# reads sub-plane (j%s, l%s) at the offset (j//s)*Wg + l//s, and output voxel
-# (h, w) of a plane is row h*Wg + w. So the [ks*C, rows] operand of each of
-# the ks*ks in-plane taps is a strided view, with no copy, and a conv is one
-# [C_out, ks*C] x [ks*C, rows] GEMM per in-plane tap, batched over
-# _CONV_PLANES output planes. Rows with w >= Wo are computed and discarded
-# (forward) or carry a zero gradient (VJPs).
+# reads sub-plane (j%s, l%s) at the row offset (j//s)*Wg + l//s, and output
+# voxel (h, w) of a plane is row h*Wg + w. So each sub-plane that has taps (one
+# at stride 1, up to four at stride 2) gives one strided [ks*C, rows + its last
+# offset] view, with no copy, and each of its taps reads the `rows` rows at the
+# tap's offset. The forward pass stacks the kernels of a sub-plane's T taps in
+# M: one [T*C_out, ks*C] x [ks*C, rows + last offset] GEMM per sub-plane,
+# batched over as many output planes as fit their products in
+# _CONV_STACK_BYTES. Each tap's product is that stack shifted by the tap's
+# offset, and the products are summed in tap order. One large-M GEMM runs
+# faster than T GEMMs with M = C_out, while folding more taps into K (im2col)
+# runs slower. The kernel gradient and the stride-2 scatter run one GEMM per
+# tap on its slice of the view, batched over _CONV_PLANES output planes. Rows
+# with w >= Wo are computed and discarded (forward) or carry a zero gradient
+# (VJPs).
 
 _CONV_PLANES = 4
+_CONV_STACK_BYTES = 2 << 20
 
 
 def _parities(spatial, pad, s):
@@ -426,24 +435,34 @@ def _conv_extents(xp_shape, ks, s):
     return (do, ho, wo), (ho - 1) * wg + wo
 
 
-def _plane_batches(do):
-    for z0 in range(0, do, _CONV_PLANES):
-        yield z0, min(z0 + _CONV_PLANES, do)
+def _plane_batches(do, n):
+    for z0 in range(0, do, n):
+        yield z0, min(z0 + n, do)
 
 
-def _tap_views(xp, ks, s, z0, z1):
-    """Per in-plane tap (j, l), the no-copy [z1 - z0, ks*C, rows] operand of
-    output planes z0..z1-1: entry [z, i*C + c, r] is input plane (z0 + z)*s + i,
-    channel c, at row r past the tap's offset."""
+def _tap_groups(ks, s, wg):
+    """Per in-plane parity sub-plane that has taps: its index, its in-plane
+    taps n = j*ks + l in order, and their row offsets (rising)."""
+    for a in range(min(ks, s)):
+        for b in range(min(ks, s)):
+            taps = [j * ks + l for j in range(a, ks, s) for l in range(b, ks, s)]
+            yield a * s + b, taps, [(n // ks // s) * wg + n % ks // s for n in taps]
+
+
+def _sub_plane_views(xp, ks, s, z0, z1):
+    """Per sub-plane that has taps: its taps, their row offsets and the no-copy
+    [z1 - z0, ks*C, rows + last offset] view of output planes z0..z1-1, whose
+    entry [z, i*C + c, r] is row r of the sub-plane in input plane
+    (z0 + z)*s + i, channel c. Tap n's operand is the slice [..., o:o + rows]
+    at its offset o."""
     _, c, _, hg, wg = xp.shape
     _, rows = _conv_extents(xp.shape, ks, s)
     q, p = hg * wg, s * s * hg * wg
     flat, item = xp.reshape(-1), xp.itemsize
-    for j in range(ks):
-        for l in range(ks):
-            off = z0 * s * c * p + ((j % s) * s + l % s) * q + (j // s) * wg + l // s
-            yield np.lib.stride_tricks.as_strided(
-                flat[off:], (z1 - z0, ks * c, rows), (s * c * p * item, p * item, item))
+    for sub, taps, offs in _tap_groups(ks, s, wg):
+        yield taps, offs, np.lib.stride_tricks.as_strided(
+            flat[z0 * s * c * p + sub * q:], (z1 - z0, ks * c, rows + offs[-1]),
+            (s * c * p * item, p * item, item))
 
 
 def _in_plane_taps(k, dtype):
@@ -456,22 +475,33 @@ def _in_plane_taps(k, dtype):
 
 def _correlate(xp, k, s):
     """Correlation of a plane layout with k; returns a [C_out, Do, Ho, Wo]
-    view. Per batch of output planes, one batched GEMM per in-plane tap and
-    one accumulate pass."""
+    view. Per batch of output planes, one batched GEMM per sub-plane with its
+    tap kernels stacked in M; each tap's product is a shifted slice of the
+    stack, and the products are summed in tap order."""
     cout, _, ks = k.shape[:3]
     kt = _in_plane_taps(k, xp.dtype)
     (do, ho, wo), rows = _conv_extents(xp.shape, ks, s)
     wg = xp.shape[-1]
+    groups = list(_tap_groups(ks, s, wg))
+    plane = cout * sum(len(taps) * (rows + offs[-1]) for _, taps, offs in groups)
+    zb = min(do, max(1, _CONV_STACK_BYTES // (plane * xp.itemsize)))
+    stacks, prods = [], [None] * (ks * ks)
+    for _, taps, offs in groups:
+        st = np.empty((zb, len(taps) * cout, rows + offs[-1]), dtype=xp.dtype)
+        stacks.append((kt[taps].reshape(-1, kt.shape[2]), st))
+        for m, (n, o) in enumerate(zip(taps, offs)):
+            prods[n] = st[:, m * cout:(m + 1) * cout, o:o + rows]
     y = np.empty((do, cout, ho * wg), dtype=xp.dtype)
-    tmp = np.empty((_CONV_PLANES, cout, rows), dtype=xp.dtype)
-    for z0, z1 in _plane_batches(do):
-        acc, t = y[z0:z1, :, :rows], tmp[:z1 - z0]
-        for n, a in enumerate(_tap_views(xp, ks, s, z0, z1)):
-            if n == 0:
-                np.matmul(kt[n], a, out=acc)
-            else:
-                np.matmul(kt[n], a, out=t)
-                acc += t
+    for z0, z1 in _plane_batches(do, zb):
+        z, acc = z1 - z0, y[z0:z1, :, :rows]
+        for (km, st), (_, _, a) in zip(stacks, _sub_plane_views(xp, ks, s, z0, z1)):
+            np.matmul(km, a, out=st[:z])
+        if ks == 1:
+            acc[...] = prods[0][:z]
+            continue
+        np.add(prods[0][:z], prods[1][:z], out=acc)
+        for p in prods[2:]:
+            acc += p[:z]
     return y.reshape(do, cout, ho, wg)[..., :wo].transpose(1, 0, 2, 3)
 
 
@@ -483,29 +513,31 @@ def _kernel_grad(xp, gp, k_shape, s):
     _, rows = _conv_extents(xp.shape, ks, s)
     gk = np.zeros((ks * ks, ks * cin, cout), dtype=gp.dtype)
     tmp = np.empty((_CONV_PLANES, ks * cin, cout), dtype=gp.dtype)
-    for z0, z1 in _plane_batches(gp.shape[0]):
+    for z0, z1 in _plane_batches(gp.shape[0], _CONV_PLANES):
         gt, t = gp[z0:z1, :, :rows].transpose(0, 2, 1), tmp[:z1 - z0]
-        for n, a in enumerate(_tap_views(xp, ks, s, z0, z1)):
-            gk[n] += np.matmul(a, gt, out=t).sum(axis=0)
+        for taps, offs, a in _sub_plane_views(xp, ks, s, z0, z1):
+            for n, o in zip(taps, offs):
+                gk[n] += np.matmul(a[..., o:o + rows], gt, out=t).sum(axis=0)
     return np.ascontiguousarray(gk.reshape(ks, ks, ks, cin, cout).transpose(4, 3, 2, 0, 1))
 
 
 def _scatter_input_grad(gp, k, xp_shape, s):
     """Adjoint of `_correlate` in its input, as a plane layout: each batched
-    GEMM [ks*C_in, C_out] x [C_out, rows] is added through the tap views, one
-    z-tap i at a time, since planes s*z + i are distinct within a batch only
-    for one i."""
+    GEMM [ks*C_in, C_out] x [C_out, rows] is added through the tap's slice of
+    its sub-plane view, one z-tap i at a time, since planes s*z + i are
+    distinct within a batch only for one i."""
     cin, ks = k.shape[1:3]
     kt = _in_plane_taps(k, gp.dtype).transpose(0, 2, 1).copy()
     _, rows = _conv_extents(xp_shape, ks, s)
     gxp = np.zeros(xp_shape, dtype=gp.dtype)
     tmp = np.empty((_CONV_PLANES, ks * cin, rows), dtype=gp.dtype)
-    for z0, z1 in _plane_batches(gp.shape[0]):
+    for z0, z1 in _plane_batches(gp.shape[0], _CONV_PLANES):
         g, t = gp[z0:z1, :, :rows], tmp[:z1 - z0]
-        for n, a in enumerate(_tap_views(gxp, ks, s, z0, z1)):
-            np.matmul(kt[n], g, out=t)
-            for lo in range(0, ks * cin, cin):
-                a[:, lo:lo + cin] += t[:, lo:lo + cin]
+        for taps, offs, a in _sub_plane_views(gxp, ks, s, z0, z1):
+            for n, o in zip(taps, offs):
+                np.matmul(kt[n], g, out=t)
+                for lo in range(0, ks * cin, cin):
+                    a[:, lo:lo + cin, o:o + rows] += t[:, lo:lo + cin]
     return gxp
 
 
@@ -515,16 +547,19 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
     Kernel spatial extent must be 1 or 3, stride 1 or 2, padding 0 or 1.
 
     All three passes run on one plane-interleaved layout (see the comment
-    above `_CONV_PLANES`): the input is padded once, and the operand of each
-    in-plane tap is a strided view of it whose GEMM dimension K runs over the
-    z-taps and channels. The output is C-ordered. The VJP copies the output
-    gradient once into a fixed [Do, C_out, Ho, Wg] layout, which the kernel
-    and bias gradients read, so no gradient's bits depend on the incoming
-    gradient's memory layout. At stride 1 the input gradient is the forward
-    kernel run on the output gradient, with the flipped, channel-transposed
-    kernel and padding ks-1-padding; at stride 2 it is a scatter through the
-    tap views. The input and kernel gradients are only computed for operands
-    that require a gradient.
+    above `_CONV_PLANES`): the input is padded once, and each in-plane parity
+    sub-plane that has taps is one strided view of it whose GEMM dimension K
+    runs over the z-taps and channels. The forward pass runs one GEMM per
+    sub-plane and batch of output planes, with the sub-plane's tap kernels
+    stacked in M, and sums the taps' shifted products in tap order. The output
+    is C-ordered. The VJP copies the output gradient once into a fixed
+    [Do, C_out, Ho, Wg] layout, which the kernel and bias gradients read, so
+    no gradient's bits depend on the incoming gradient's memory layout. At
+    stride 1 the input gradient is the forward kernel run on the output
+    gradient, with the flipped, channel-transposed kernel and padding
+    ks-1-padding; at stride 2 it is a scatter through each tap's slice of its
+    sub-plane view. The input and kernel gradients are only computed for
+    operands that require a gradient.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     k = kernels.data

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the checks that configurations run at the
+boundary."""
+
+import math
+import numbers
 
 
 class DimensionError(ValueError):
@@ -12,3 +16,21 @@ class NumericError(ArithmeticError):
 class ConfigurationError(ValueError):
     """Invalid or inconsistent configuration values."""
 
+
+
+def require_integers(cfg, *names):
+    """Raise ConfigurationError unless each named field of cfg is an integer."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(cfg, *names):
+    """Raise ConfigurationError unless each named field of cfg is a finite real
+    number."""
+    for name in names:
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ConfigurationError(f"{name} must be a finite number, got {value!r}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, require_finite, require_integers
 
 
 @dataclass
@@ -17,6 +17,8 @@ class LossConfig:
     ncc_epsilon: float = 1e-5
 
     def __post_init__(self):
+        require_finite(self, "lam", "ncc_epsilon")
+        require_integers(self, "ncc_window")
         if self.lam < 0:
             raise ConfigurationError("lambda must be nonnegative")
         if self.ncc_window % 2 != 1 or self.ncc_window < 1:

@@ -9,7 +9,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import network as net
-from .errors import ConfigurationError, DimensionError, NumericError
+from .errors import (ConfigurationError, DimensionError, NumericError, require_finite,
+                     require_integers)
 from .losses import LossConfig, loss_terms
 from .network import DOWN_FACTOR, FramePairSequence, NetVariant
 from .series import FrameSeries
@@ -42,6 +43,8 @@ class TrainConfig:
     reference_index: int = 0
 
     def __post_init__(self):
+        require_finite(self, "learning_rate")
+        require_integers(self, "epochs", "seed", "downsample_factor", "reference_index")
         if self.learning_rate <= 0 or self.downsample_factor < 1:
             raise ConfigurationError("learning_rate and downsample_factor must be positive")
         if self.epochs < 0 or self.reference_index < 0:

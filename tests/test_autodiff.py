@@ -108,8 +108,12 @@ class TestConv3d:
     # for every kernel extent and padding of _multi_chunk_case
     MULTI_CHUNK = {1: (11, 6, 7), 2: (19, 9, 10)}
 
-    def _multi_chunk_case(self, stride, ks=3, padding=1, cin=2, cout=2):
-        """Input, kernel and output gradient for a MULTI_CHUNK conv at `stride`."""
+    def _multi_chunk_case(self, monkeypatch, stride, ks=3, padding=1, cin=2, cout=2):
+        """Input, kernel and output gradient for a MULTI_CHUNK conv at `stride`,
+        and the list into which the forward pass records (Do, planes per
+        batch). The stack cap is lowered to ad._CONV_PLANES output planes'
+        worth of tap products, since these small convs fit in one batch at the
+        default cap."""
         spatial = self.MULTI_CHUNK[stride]
         out = [(n + 2 * padding - ks) // stride + 1 for n in spatial]
         assert out[0] > ad._CONV_PLANES and out[0] % ad._CONV_PLANES
@@ -117,7 +121,26 @@ class TestConv3d:
         x = rng.normal(size=(cin, *spatial))
         k = rng.normal(size=(cout, cin, ks, ks, ks))
         g = rng.normal(size=(cout, *out))
-        return x, k, g
+        # one output plane's stack: per sub-plane with taps, each tap's product
+        # over the rows up to the sub-plane's last offset
+        wg = -(-(spatial[2] + 2 * padding) // stride)
+        rows = (out[1] - 1) * wg + out[2]
+        plane = cout * sum(len(taps) * (rows + offs[-1])
+                           for _, taps, offs in ad._tap_groups(ks, stride, wg))
+        monkeypatch.setattr(ad, "_CONV_STACK_BYTES", ad._CONV_PLANES * plane * x.itemsize)
+        batches, plane_batches = [], ad._plane_batches
+
+        def recording(do, n):
+            batches.append((do, n))
+            return plane_batches(do, n)
+
+        monkeypatch.setattr(ad, "_plane_batches", recording)
+        return x, k, g, batches
+
+    @staticmethod
+    def _assert_partial_last_batch(batches, do):
+        # the forward pass batches first: at least two batches, the last partial
+        assert batches[0] == (do, ad._CONV_PLANES) and do % ad._CONV_PLANES
 
     def _grads(self, x, k, stride, padding, g):
         xt, kt = ad.param("x", x), ad.param("k", k)
@@ -129,22 +152,27 @@ class TestConv3d:
         return y.data, grads["x"], grads["k"]
 
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_multi_chunk_matches_naive_loop_oracle(self, stride):
-        x, k, _ = self._multi_chunk_case(stride)
+    def test_multi_chunk_matches_naive_loop_oracle(self, monkeypatch, stride):
+        x, k, g, batches = self._multi_chunk_case(monkeypatch, stride)
         b = np.array([0.5, -1.25])
         got = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), stride, 1).data
+        self._assert_partial_last_batch(batches, g.shape[1])
         want = conv3d_naive(x, k, b, stride, 1)
         # normwise: among thousands of outputs some cancel to near zero,
         # where an entrywise relative error measures only that cancellation
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_multi_chunk_adjoint_identities(self, stride):
+    def test_multi_chunk_adjoint_identities(self, monkeypatch, stride):
         # at stride 1 the input gradient runs the forward kernel with padding
-        # ks - 1 - padding: 1, 2 (kernel extent 3, padding 0), 0 and -1 (a crop)
+        # ks - 1 - padding: 1, 2 (kernel extent 3, padding 0), 0 and -1 (a crop);
+        # kernel extent 1 at stride 2 leaves three of the four sub-planes
+        # without a tap
         for ks, padding in [(3, 1), (3, 0), (1, 0), (1, 1)]:
-            x, k, g = self._multi_chunk_case(stride, ks, padding)
-            y, gx, gk = self._grads(x, k, stride, padding, g)
+            with monkeypatch.context() as mp:
+                x, k, g, batches = self._multi_chunk_case(mp, stride, ks, padding)
+                y, gx, gk = self._grads(x, k, stride, padding, g)
+            self._assert_partial_last_batch(batches, g.shape[1])
             lhs = np.vdot(y, g)
             # conv is linear in its input and, separately, in its kernel
             assert abs(lhs - np.vdot(x, gx)) <= 1e-12 * abs(lhs)

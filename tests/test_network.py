@@ -94,6 +94,42 @@ class TestShapes:
             assert np.all(f == 0.0)
 
 
+    @pytest.mark.parametrize("extents", [(16, 16, 32), (32, 32, 64)])
+    def test_conv_sub_plane_views_end_inside_their_plane_buffer(self, monkeypatch, extents):
+        # as_strided checks no bounds: for every conv that the variants run,
+        # each sub-plane view of the forward pass, the kernel gradient and the
+        # stride-2 scatter (the input's plane layout) and of the stride-1
+        # input gradient (the output gradient's, at padding ks - 1 - padding)
+        # must lie inside its plane buffer
+        convs, conv3d = set(), ad.conv3d
+
+        def recording(x, kernels, bias, stride=1, padding=1):
+            convs.add((x.shape, kernels.shape, stride, padding))
+            return conv3d(x, kernels, bias, stride, padding)
+
+        monkeypatch.setattr(ad, "conv3d", recording)
+        rng = np.random.default_rng(3)
+        frames = [rng.normal(size=extents).astype(np.float32) for _ in range(2)]
+        for variant in NetVariant:
+            params = make_params(variant, extents=extents, dtype=np.float32)
+            net.estimate_displacements(params, FramePairSequence(frames[0], frames[1:]))
+        assert len(convs) >= 12
+        for x_shape, k_shape, stride, padding in convs:
+            cout, ks = k_shape[0], k_shape[2]
+            out = [(n + 2 * padding - ks) // stride + 1 for n in x_shape[1:]]
+            layouts = [(x_shape, padding, stride)]
+            if stride == 1:
+                layouts.append(((cout, *out), ks - 1 - padding, 1))
+            for shape, pad, s in layouts:
+                xp = ad._planes(np.zeros(shape, np.float32), pad, s)
+                lo = xp.__array_interface__["data"][0]
+                do = ad._conv_extents(xp.shape, ks, s)[0][0]
+                for _, _, view in ad._sub_plane_views(xp, ks, s, 0, do):
+                    start = view.__array_interface__["data"][0]
+                    end = start + sum((n - 1) * st for n, st in zip(view.shape, view.strides))
+                    assert lo <= start and end + view.itemsize <= lo + xp.nbytes
+
+
 class TestInference:
     @pytest.mark.parametrize("variant", [NetVariant.B_CONVLSTM, NetVariant.B_LSTM])
     def test_forward_outside_a_tape_keeps_no_graph(self, variant):

@@ -386,3 +386,24 @@ def test_apply_rejects_reference_index_past_last_frame(phantom):
 def test_train_rejects_no_windows():
     with pytest.raises(ConfigurationError):
         tr.train(make_model(), VARIANT, [], config(epochs=2))
+
+
+# per TrainConfig field, values that used to pass the boundary and fail, or
+# pass silently, further in: a float count raised TypeError in mean_pool or in
+# train, reference_index=1.0 raised IndexError, and a NaN rate was accepted
+BAD_TRAIN_CONFIG = {
+    "learning_rate": [float("nan"), float("inf"), "1e-3", None],
+    "epochs": [1.5, 1.0, True, None],
+    "seed": [0.5, "0"],
+    "downsample_factor": [2.0, np.float64(2.0), None],
+    "reference_index": [1.0, False],
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_TRAIN_CONFIG))
+def test_train_config_rejects_non_integer_counts_and_non_finite_rates(field):
+    for bad in BAD_TRAIN_CONFIG[field]:
+        with pytest.raises(ConfigurationError, match=field):
+            tr.TrainConfig(**{field: bad})
+    # numpy integers and integral rates are accepted
+    tr.TrainConfig(epochs=np.int64(2), seed=np.int32(3), learning_rate=1)

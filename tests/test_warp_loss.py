@@ -426,3 +426,20 @@ class TestGradients:
         vol = ad.param("vol", np.zeros((4, 4, 4)))
         with pytest.raises(ConfigurationError):
             ad.warp(vol, np.zeros((3, 4, 4, 4)))
+
+
+# per LossConfig field, values that used to pass the boundary: a NaN weight
+# was accepted, and an infinite epsilon made the similarity 0
+BAD_LOSS_CONFIG = {
+    "lam": [float("nan"), float("inf"), "1"],
+    "ncc_window": [9.0, True, None],
+    "ncc_epsilon": [float("inf"), float("nan"), None],
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_LOSS_CONFIG))
+def test_loss_config_rejects_non_integer_windows_and_non_finite_floats(field):
+    for bad in BAD_LOSS_CONFIG[field]:
+        with pytest.raises(ConfigurationError, match=field):
+            LossConfig(**{field: bad})
+    LossConfig(lam=0, ncc_window=np.int64(3), ncc_epsilon=np.float32(1e-5))
