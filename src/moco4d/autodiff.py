@@ -473,43 +473,45 @@ def _in_plane_taps(k, dtype):
         ks * ks, cout, ks * cin)
 
 
-def _correlate(xp, k, s):
-    """Correlation of a plane layout with k; returns a [C_out, Do, Ho, Wo]
-    view. Per batch of output planes, one batched GEMM per sub-plane with its
-    tap kernels stacked in M; each tap's product is a shifted slice of the
-    stack, and the products are summed in tap order."""
+def _correlate(xp, k, s, b):
+    """Correlation of a plane layout with k, plus b: [C_out, Do, Ho, Wo],
+    C-ordered. Per batch of output planes, one batched GEMM per sub-plane with
+    its tap kernels stacked in M; each tap's product is a shifted slice of the
+    stack, the products are summed in tap order, and the sum plus b is copied
+    out."""
     cout, _, ks = k.shape[:3]
     kt = _in_plane_taps(k, xp.dtype)
     (do, ho, wo), rows = _conv_extents(xp.shape, ks, s)
     wg = xp.shape[-1]
     groups = list(_tap_groups(ks, s, wg))
-    plane = cout * sum(len(taps) * (rows + offs[-1]) for _, taps, offs in groups)
+    plane = cout * (ho * wg + sum(len(taps) * (rows + offs[-1]) for _, taps, offs in groups))
     zb = min(do, max(1, _CONV_STACK_BYTES // (plane * xp.itemsize)))
-    # one allocation holds the output rows and the stacks: with the stacks in
-    # buffers of their own, heap placement alone raised the benchmark's peak
-    # RSS by 7-15 MB on one workload or another
-    ny = do * cout * ho * wg
-    mem = np.empty(ny + zb * plane, dtype=xp.dtype)
-    y = mem[:ny].reshape(do, cout, ho * wg)
-    stacks, prods, at = [], [None] * (ks * ks), ny
+    y = np.empty((cout, do, ho, wo), dtype=xp.dtype)
+    # one buffer holds the batch's sum rows and its stacks
+    mem = np.empty(zb * plane, dtype=xp.dtype)
+    at = zb * cout * ho * wg
+    sums = mem[:at].reshape(zb, cout, ho * wg)
+    stacks, prods = [], [None] * (ks * ks)
     for _, taps, offs in groups:
-        shape = (zb, len(taps) * cout, rows + offs[-1])
-        st = mem[at:at + shape[0] * shape[1] * shape[2]].reshape(shape)
+        n = rows + offs[-1]
+        st = mem[at:at + zb * len(taps) * cout * n].reshape(zb, len(taps) * cout, n)
         at += st.size
         stacks.append((kt[taps].reshape(-1, kt.shape[2]), st))
-        for m, (n, o) in enumerate(zip(taps, offs)):
-            prods[n] = st[:, m * cout:(m + 1) * cout, o:o + rows]
+        for m, (t, o) in enumerate(zip(taps, offs)):
+            prods[t] = st[:, m * cout:(m + 1) * cout, o:o + rows]
+    out = sums.reshape(zb, cout, ho, wg)[..., :wo].transpose(1, 0, 2, 3)
     for z0, z1 in _plane_batches(do, zb):
-        z, acc = z1 - z0, y[z0:z1, :, :rows]
+        z, acc = z1 - z0, sums[:z1 - z0, :, :rows]
         for (km, st), (_, _, a) in zip(stacks, _sub_plane_views(xp, ks, s, z0, z1)):
             np.matmul(km, a, out=st[:z])
         if ks == 1:
             acc[...] = prods[0][:z]
-            continue
-        np.add(prods[0][:z], prods[1][:z], out=acc)
-        for p in prods[2:]:
-            acc += p[:z]
-    return y.reshape(do, cout, ho, wg)[..., :wo].transpose(1, 0, 2, 3)
+        else:
+            np.add(prods[0][:z], prods[1][:z], out=acc)
+            for p in prods[2:]:
+                acc += p[:z]
+        np.add(out[:, :z], b, out=y[:, z0:z1])
+    return y
 
 
 def _kernel_grad(xp, gp, k_shape, s):
@@ -583,7 +585,7 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
     if not _finite(x.data):
         raise NumericError("conv3d: non-finite input")
     xp = _planes(x.data, padding, stride)
-    y = np.add(_correlate(xp, k, stride), bias.data.reshape(-1, 1, 1, 1), order="C")
+    y = _correlate(xp, k, stride, bias.data.reshape(-1, 1, 1, 1))
     # the input gradient reads only the kernel, the kernel gradient only the
     # input
     kv = k if x.requires_grad else None
@@ -599,7 +601,7 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
         gx = gk = gb = None
         if kv is not None and stride == 1:
             flipped = kv.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-            gx = _correlate(_planes(g, k_shape[2] - 1 - padding, 1), flipped, 1)
+            gx = _correlate(_planes(g, k_shape[2] - 1 - padding, 1), flipped, 1, 0.0)
         elif kv is not None:
             gx = _from_planes(_scatter_input_grad(gp, kv, xp_shape, stride), padding,
                               stride, x_spatial)

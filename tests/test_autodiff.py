@@ -121,12 +121,12 @@ class TestConv3d:
         x = rng.normal(size=(cin, *spatial))
         k = rng.normal(size=(cout, cin, ks, ks, ks))
         g = rng.normal(size=(cout, *out))
-        # one output plane's stack: per sub-plane with taps, each tap's product
-        # over the rows up to the sub-plane's last offset
+        # one output plane's share of the buffer: its Ho*Wg sum rows and, per
+        # sub-plane with taps, each tap's product up to the last offset
         wg = -(-(spatial[2] + 2 * padding) // stride)
         rows = (out[1] - 1) * wg + out[2]
-        plane = cout * sum(len(taps) * (rows + offs[-1])
-                           for _, taps, offs in ad._tap_groups(ks, stride, wg))
+        plane = cout * (out[1] * wg + sum(len(taps) * (rows + offs[-1])
+                                          for _, taps, offs in ad._tap_groups(ks, stride, wg)))
         monkeypatch.setattr(ad, "_CONV_STACK_BYTES", ad._CONV_PLANES * plane * x.itemsize)
         batches, plane_batches = [], ad._plane_batches
 
