@@ -375,11 +375,11 @@ def matvec(m, x):
 # offset] view, with no copy, and each of its taps reads the `rows` rows at the
 # tap's offset. The forward pass stacks the kernels of a sub-plane's T taps in
 # M: one [T*C_out, ks*C] x [ks*C, rows + last offset] GEMM per sub-plane,
-# batched over as many output planes as fit their products in
+# batched over as many output planes as fit their products and sums in
 # _CONV_STACK_BYTES. Each tap's product is that stack shifted by the tap's
-# offset, and the products are summed in tap order. One large-M GEMM runs
-# faster than T GEMMs with M = C_out, while folding more taps into K (im2col)
-# runs slower. The kernel gradient and the stride-2 scatter run one GEMM per
+# offset; the products are summed in tap order, and the sum plus the bias is
+# copied into the output. One large-M GEMM runs faster than T GEMMs with
+# M = C_out, while folding more taps into K (im2col) runs slower. The kernel gradient and the stride-2 scatter run one GEMM per
 # tap on its slice of the view, batched over _CONV_PLANES output planes. Rows
 # with w >= Wo are computed and discarded (forward) or carry a zero gradient
 # (VJPs).
@@ -499,9 +499,10 @@ def _correlate(xp, k, s, b):
         stacks.append((kt[taps].reshape(-1, kt.shape[2]), st))
         for m, (t, o) in enumerate(zip(taps, offs)):
             prods[t] = st[:, m * cout:(m + 1) * cout, o:o + rows]
-    out = sums.reshape(zb, cout, ho, wg)[..., :wo].transpose(1, 0, 2, 3)
+    voxels = sums.reshape(zb, cout, ho, wg)[..., :wo].transpose(1, 0, 2, 3)
     for z0, z1 in _plane_batches(do, zb):
-        z, acc = z1 - z0, sums[:z1 - z0, :, :rows]
+        z = z1 - z0
+        acc = sums[:z, :, :rows]
         for (km, st), (_, _, a) in zip(stacks, _sub_plane_views(xp, ks, s, z0, z1)):
             np.matmul(km, a, out=st[:z])
         if ks == 1:
@@ -510,7 +511,7 @@ def _correlate(xp, k, s, b):
             np.add(prods[0][:z], prods[1][:z], out=acc)
             for p in prods[2:]:
                 acc += p[:z]
-        np.add(out[:, :z], b, out=y[:, z0:z1])
+        np.add(voxels[:, :z], b, out=y[:, z0:z1])
     return y
 
 

@@ -17,7 +17,6 @@ class ConfigurationError(ValueError):
     """Invalid or inconsistent configuration values."""
 
 
-
 def require_integers(cfg, *names):
     """Raise ConfigurationError unless each named field of cfg is an integer."""
     for name in names:

@@ -111,9 +111,9 @@ class TestConv3d:
     def _multi_chunk_case(self, monkeypatch, stride, ks=3, padding=1, cin=2, cout=2):
         """Input, kernel and output gradient for a MULTI_CHUNK conv at `stride`,
         and the list into which the forward pass records (Do, planes per
-        batch). The stack cap is lowered to ad._CONV_PLANES output planes'
-        worth of tap products, since these small convs fit in one batch at the
-        default cap."""
+        batch). The buffer cap is lowered to ad._CONV_PLANES output planes'
+        worth of sums and tap products, since these small convs fit in one
+        batch at the default cap."""
         spatial = self.MULTI_CHUNK[stride]
         out = [(n + 2 * padding - ks) // stride + 1 for n in spatial]
         assert out[0] > ad._CONV_PLANES and out[0] % ad._CONV_PLANES
