@@ -27,6 +27,7 @@ import weakref
 
 import numpy as np
 
+from . import pool
 from .errors import ConfigurationError, DimensionError, NumericError
 
 _TAPES: list["Tape"] = []
@@ -704,36 +705,71 @@ def interp_resize(x, out_spatial):
 # sample positions are clamped to [-2, n], so both neighbours of a sample lie in
 # the copy and a neighbour outside the volume reads 0: no masks, no clipped
 # indices. A clamp at -1 would give samples in (-2, -1) a gradient from voxel 0.
+#
+# Both passes run one slab of z-planes at a time. A slab writes only its own
+# planes of the output, so on a grid of at least pool.POOLED_MIN_VOXELS voxels
+# the slabs run on the pool, one task per core; smaller grids keep the serial
+# loop. Each task takes its taps and products from buffers made once per call,
+# and the output is the same, bit for bit, whatever the slab size or the pool.
 
-# output voxels per slab: a slab's taps and temporaries stay in cache (2 MB of
-# L2 per core), which about halves a 64x64x128 warp against one whole-grid pass
+# output voxels per serial slab: a slab's taps and temporaries stay in cache
+# (2 MB of L2 per core), which about halves a 64x64x128 warp against one
+# whole-grid pass
 _WARP_SLAB_VOXELS = 16384
+# output voxels per pooled slab: a second thread pays only while each numpy call
+# runs long with the GIL released (two threads ran a multiply-add loop 1.28x as
+# fast as one at 16,384 float64 elements, 2.03x at 65,536)
+_POOLED_SLAB_VOXELS = 32768
 _WARP_BORDER = 2
 
 
-def _warp_taps(field):
-    """Trilinear taps of a pull-warp by a [3, D, H, W] field, one slab of
-    z-planes (about _WARP_SLAB_VOXELS voxels) at a time.
+def _warp_slabs(grid):
+    """(z-slabs, whether they run on the pool, voxels of the largest slab) of
+    a warp on `grid`."""
+    pooled = grid[0] * grid[1] * grid[2] >= pool.POOLED_MIN_VOXELS
+    plane = grid[1] * grid[2]
+    step = max(1, (_POOLED_SLAB_VOXELS if pooled else _WARP_SLAB_VOXELS) // plane)
+    slabs = [slice(z0, min(z0 + step, grid[0])) for z0 in range(0, grid[0], step)]
+    return slabs, pooled, min(step, grid[0]) * plane
 
-    Yields (z-plane slice, base, weights): base is the flat index of each
-    sample's low corner in the bordered volume, and weights holds per axis
-    the pair (1 - frac, frac). Sample positions are float64 whatever the
-    field dtype.
+
+def _slab_views(buffers, zs, plane):
+    """Each buffer [..., voxels] viewed as [..., planes of zs, *plane]."""
+    shape = (zs.stop - zs.start,) + plane
+    m = shape[0] * shape[1] * shape[2]
+    return [b[..., :m].reshape(b.shape[:-1] + shape) for b in buffers]
+
+
+def _warp_taps(field, zs, f, i):
+    """Trilinear taps of a pull-warp by a [3, D, H, W] field on the z-planes
+    `zs`, written into slab views of 7 float64 rows `f` and 2 int64 rows `i`.
+
+    Returns (base, weights): base is the flat index of each sample's low
+    corner in the bordered volume, and weights holds per axis the pair
+    (1 - frac, frac). Sample positions are float64 whatever the field dtype.
     """
     grid = field.shape[1:]
-    step = max(1, _WARP_SLAB_VOXELS // (grid[1] * grid[2]))
-    for z0 in range(0, grid[0], step):
-        zs = slice(z0, min(z0 + step, grid[0]))
-        base, weights = 0, []
-        for a, n in enumerate(grid):
-            coord = np.arange(zs.start, zs.stop) if a == 0 else np.arange(n)
-            pos = coord.reshape([-1 if i == a else 1 for i in range(3)]) + field[a, zs]
-            np.clip(pos, -_WARP_BORDER, n, out=pos)
-            lo = np.floor(pos)
-            frac = pos - lo
-            base = base * (n + 2 * _WARP_BORDER) + (lo.astype(np.int64) + _WARP_BORDER)
-            weights.append((1.0 - frac, frac))
-        yield zs, base, weights
+    base, lo_int = i
+    lo = f[6]
+    weights = []
+    for a, n in enumerate(grid):
+        coord = np.arange(zs.start, zs.stop) if a == 0 else np.arange(n)
+        low, frac = f[2 * a], f[2 * a + 1]
+        # the sample position, then its weights, in place
+        np.add(coord.reshape([-1 if j == a else 1 for j in range(3)]), field[a, zs], out=low)
+        np.clip(low, -_WARP_BORDER, n, out=low)
+        np.floor(low, out=lo)
+        np.subtract(low, lo, out=frac)
+        np.subtract(1.0, frac, out=low)
+        np.copyto(lo_int, lo, casting="unsafe")
+        lo_int += _WARP_BORDER
+        if a:
+            base *= n + 2 * _WARP_BORDER
+            base += lo_int
+        else:
+            np.copyto(base, lo_int)
+        weights.append((low, frac))
+    return base, weights
 
 
 def warp(volume, field):
@@ -744,6 +780,10 @@ def warp(volume, field):
     volume's own grid) and must be finite. Differentiable in the field only,
     whose gradient sums over channels; a volume that requires a gradient is
     rejected.
+
+    On a grid of at least `pool.POOLED_MIN_VOXELS` voxels the forward pass
+    and the field VJP run their z-slabs on the pool, in larger slabs; the
+    result is the same, bit for bit, as from the serial loop.
     """
     volume, field = _as_tensor(volume), _as_tensor(field)
     if volume.data.ndim not in (3, 4):
@@ -760,8 +800,10 @@ def warp(volume, field):
                                  "the volume must not require a gradient")
     chans = volume.data.reshape((-1,) + grid)       # [C, D, H, W]
     disp = field.data
+    nc = len(chans)
+    slabs, pooled, voxels = _warp_slabs(grid)
     # shape of the zero-bordered copy, and the volume's place in it
-    bordered = (len(chans),) + tuple(n + 2 * _WARP_BORDER for n in grid)
+    bordered = (nc,) + tuple(n + 2 * _WARP_BORDER for n in grid)
     inner = (slice(None),) + (slice(_WARP_BORDER, -_WARP_BORDER),) * 3
     _, _, hp, wp = bordered
     # the 8 corners, z-major, with their flat offsets from the low corner
@@ -770,11 +812,13 @@ def warp(volume, field):
     def flat_bordered():
         flat = np.zeros(bordered, dtype=chans.dtype)
         flat[inner] = chans
-        return flat.reshape(len(chans), -1)
+        return flat.reshape(nc, -1)
 
-    def gather(flat, base, off):
-        # one 1-D take per channel: a 2-D take along axis 1 is about 8x slower
-        return [np.take(f[off:], base) for f in flat]
+    def gather(flat, base, off, vals):
+        # one 1-D take per channel: a 2-D take along axis 1 is about 8x slower;
+        # mode="clip" (the indices are in range) writes to `out` unbuffered
+        for f, v in zip(flat, vals):
+            np.take(f[off:], base, out=v, mode="clip")
 
     def vjp(g):
         # taps and the bordered copy are rebuilt here, not kept alive on the
@@ -782,28 +826,51 @@ def warp(volume, field):
         g = g.reshape(chans.shape)
         flat = flat_bordered()
         gfield = np.zeros_like(disp)
-        for zs, base, (wz, wy, wx) in _warp_taps(disp):
+
+        def slab_vjp(zs, buffers):
+            f, i, vals, gv, t, s, s_cast = _slab_views(buffers, zs, grid[1:])
+            base, (wz, wy, wx) = _warp_taps(disp, zs, f, i)
             gs, gf = g[:, zs], gfield[:, zs]
             for a, b, c, off in corners:
-                gv = gs * np.stack(gather(flat, base, off))
+                gather(flat, base, off, vals)
+                np.multiply(gs, vals, out=gv)
                 # the weight derivative in the displacement is -1 at the
                 # low neighbour and +1 at the high one
-                for axis, up, t in ((0, a, gv * wy[b] * wx[c]),
-                                    (1, b, gv * wz[a] * wx[c]),
-                                    (2, c, gv * wz[a] * wy[b])):
-                    t = t.sum(axis=0).astype(gf.dtype)
-                    (np.add if up else np.subtract)(gf[axis], t, out=gf[axis])
+                for axis, up, p, q in ((0, a, wy[b], wx[c]), (1, b, wz[a], wx[c]),
+                                       (2, c, wz[a], wy[b])):
+                    np.multiply(gv, p, out=t)
+                    t *= q
+                    np.sum(t, axis=0, out=s)
+                    np.copyto(s_cast, s)
+                    (np.add if up else np.subtract)(gf[axis], s_cast, out=gf[axis])
+
+        pool.run_chunks(slab_vjp, slabs, lambda: (
+            np.empty((7, voxels)), np.empty((2, voxels), np.int64),
+            np.empty((nc, voxels), chans.dtype),
+            np.empty((nc, voxels), np.result_type(g, chans)), np.empty((nc, voxels)),
+            np.empty(voxels), np.empty(voxels, gfield.dtype)), pooled)
         return None, gfield
 
     flat = flat_bordered()
     out = np.zeros(chans.shape, dtype=chans.dtype)
-    for zs, base, (wz, wy, wx) in _warp_taps(field.data):
+
+    def slab_forward(zs, buffers):
+        f, i, vals, prod = _slab_views(buffers, zs, grid[1:])
+        base, (wz, wy, wx) = _warp_taps(disp, zs, f, i)
+        wzy, w = f[7], f[8]
         for a, b, c, off in corners:
             if c == 0:
-                wzy = wz[a] * wy[b]     # shared by each x pair
-            w = wzy * wx[c]
-            for slab, vals in zip(out[:, zs], gather(flat, base, off)):
-                slab += (w * vals).astype(chans.dtype, copy=False)
+                np.multiply(wz[a], wy[b], out=wzy)      # shared by each x pair
+            np.multiply(wzy, wx[c], out=w)
+            gather(flat, base, off, vals)
+            for slab, v in zip(out[:, zs], vals):
+                # the float64 product, rounded once to the volume's dtype
+                np.multiply(w, v, out=prod, casting="unsafe")
+                slab += prod
+
+    pool.run_chunks(slab_forward, slabs, lambda: (
+        np.empty((9, voxels)), np.empty((2, voxels), np.int64),
+        np.empty((nc, voxels), chans.dtype), np.empty(voxels, chans.dtype)), pooled)
     return _node(out.reshape(volume.data.shape), [volume, field], vjp, "warp")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .errors import ConfigurationError, DimensionError
 from .series import FrameSeries
 
@@ -19,8 +20,11 @@ F18_HALF_LIFE_MIN = 109.77
 # a voxel whose mean activity past t* is at most this fraction of the series
 # maximum is background and flagged degenerate
 ACTIVITY_FLOOR = 1e-6
-# voxels fitted together: the [n_frames, block] float64 temporaries of one
-# block stay small, whatever the volume
+# voxels fitted together: the [n_frames, block] float64 buffers of one block
+# stay small, whatever the volume. Pooled blocks keep this size, unlike the
+# warp's slabs: each task holds its own buffers, the [n_frames, block] calls
+# already run long enough with the GIL released, and 32,768-voxel blocks were
+# no faster on a pooled 64x64x128 fit (22.3 against 22.8 ms on 2 cores)
 _PATLAK_BLOCK_VOXELS = 16384
 
 
@@ -89,8 +93,10 @@ def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
     `weights` holds one positive weight per frame, or per frame past t*; it
     defaults to `decay_weights`. The fit is vectorized: the design matrix is
     shared by all voxels, only the right-hand side varies; it and the NFE
-    run one block of `_PATLAK_BLOCK_VOXELS` voxels at a time. A single
-    time-activity curve is a 1-voxel series."""
+    run one block of `_PATLAK_BLOCK_VOXELS` voxels at a time, each block in
+    its own slice of the maps. On a grid of at least `pool.POOLED_MIN_VOXELS`
+    voxels the blocks run on the pool; the maps are the same, bit for bit, as
+    from the serial loop. A single time-activity curve is a 1-voxel series."""
     sel = series.mid_times >= t_star
     n = int(sel.sum())
     if n < 3:
@@ -113,27 +119,55 @@ def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
     a12 = np.sum(wv * x1 * x2)
     a22 = np.sum(wv * x2 * x2)
     det = a11 * a22 - a12 * a12
+    wx1, wx2 = wv * x1, wv * x2
     floor = ACTIVITY_FLOOR * max(float(series.data.max()), 1e-300)
-    frames = series.data.reshape(series.frames, -1)
-    size = frames.shape[1]
+    # mid-times increase, so the frames past t* are the last n
+    fitted = series.data.reshape(series.frames, -1)[series.frames - n:]
+    size = fitted.shape[1]
     ki, vb, nfe_map = np.zeros(size), np.zeros(size), np.zeros(size)
     degenerate = np.ones(size, dtype=bool)
-    singular = abs(det) <= 1e-12 * max(a11 * a22, 1e-300)   # all degenerate
-    for v0 in range(0, 0 if singular else size, _PATLAK_BLOCK_VOXELS):
+
+    def fit_block(v0, buffers):
+        # every [n, block] and [block] temporary is a buffer of this task
         blk = slice(v0, min(v0 + _PATLAK_BLOCK_VOXELS, size))
-        y = frames[sel, blk].astype(np.float64)     # [n, block]
-        b1 = (wv * x1) @ y
-        b2 = (wv * x2) @ y
-        deg = y.mean(axis=0) <= floor
-        k = (b1 * a22 - b2 * a12) / det
-        v = (a11 * b2 - a12 * b1) / det
-        k[deg] = v[deg] = 0.0
-        y_hat = np.outer(x1, k) + np.outer(x2, v)
-        num = wv @ (y_hat - y) ** 2
-        den = (n - 2) * np.sum((wv[:, None] * y / n) ** 2, axis=0)
-        bad = den == 0.0
-        deg |= bad
-        nfe = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
-        nfe[deg] = 0.0
-        ki[blk], vb[blk], nfe_map[blk], degenerate[blk] = k, v, nfe, deg
+        m = blk.stop - v0
+        y = buffers[0][:n * m].reshape(n, m)
+        b1, b2, tmp, den = (b[:m] for b in buffers[1:])
+        k, v, nfe, deg = ki[blk], vb[blk], nfe_map[blk], degenerate[blk]
+        np.copyto(y, fitted[:, blk])
+        np.matmul(wx1, y, out=b1)
+        np.matmul(wx2, y, out=b2)
+        np.less_equal(y.mean(axis=0, out=tmp), floor, out=deg)
+        # k = (b1 * a22 - b2 * a12) / det, v = (a11 * b2 - a12 * b1) / det
+        np.subtract(np.multiply(b1, a22, out=k), np.multiply(b2, a12, out=tmp), out=k)
+        k /= det
+        np.subtract(np.multiply(b2, a11, out=v), np.multiply(b1, a12, out=tmp), out=v)
+        v /= det
+        np.copyto(k, 0.0, where=deg)
+        np.copyto(v, 0.0, where=deg)
+        # den = (n - 2) * sum((w * y / n) ** 2) over frames, on y in place
+        y *= wv[:, None]
+        y /= n
+        np.square(y, out=y)
+        np.sum(y, axis=0, out=den)
+        den *= n - 2
+        # num = w @ (y_hat - y) ** 2, y_hat = outer(x1, k) + outer(x2, v), one
+        # frame at a time on a fresh copy of y
+        np.copyto(y, fitted[:, blk])
+        for row, c1, c2 in zip(y, x1, x2):
+            np.add(np.multiply(k, c1, out=b1), np.multiply(v, c2, out=b2), out=b1)
+            np.subtract(b1, row, out=row)
+        np.square(y, out=y)
+        np.matmul(wv, y, out=nfe)
+        deg |= den == 0.0
+        np.divide(nfe, den, out=nfe, where=~deg)
+        np.copyto(nfe, 0.0, where=deg)
+
+    singular = abs(det) <= 1e-12 * max(a11 * a22, 1e-300)   # all degenerate
+    if not singular:
+        blocks = range(0, size, _PATLAK_BLOCK_VOXELS)
+        block = min(size, _PATLAK_BLOCK_VOXELS)
+        pool.run_chunks(fit_block, blocks, lambda: (
+            np.empty(n * block), np.empty(block), np.empty(block), np.empty(block),
+            np.empty(block)), size >= pool.POOLED_MIN_VOXELS)
     return ParametricMaps(*(m.reshape(series.grid) for m in (ki, vb, nfe_map, degenerate)))

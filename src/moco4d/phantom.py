@@ -239,10 +239,11 @@ def endpoint_error(est_fields, true_fields):
 
 
 def _condition_metrics(series, ifn, t_star, body, tumor_mask):
+    """`body` holds the flat indices of the body voxels, in increasing order."""
     maps = parametric_maps(series, ifn, t_star)
-    nfe_vals = maps.nfe[body & ~maps.degenerate]
+    nfe_vals = np.take(maps.nfe, body[~np.take(maps.degenerate, body)])
     ki_mean, ki_max, _ = roi_stats(maps.ki, tumor_mask)
-    ki, vb = maps.ki[body], maps.vb[body]
+    ki, vb = np.take(maps.ki, body), np.take(maps.vb, body)
     return {
         "nfe_mean": float(nfe_vals.mean()) if nfe_vals.size else float("nan"),
         "nfe_max": float(nfe_vals.max()) if nfe_vals.size else float("nan"),
@@ -268,7 +269,7 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
         raise DimensionError(f"{len(true_fields)} true fields for {truth.frames} frames")
     if tuple(spec.grid) != truth.grid:
         raise DimensionError(f"phantom grid {tuple(spec.grid)} != series grid {truth.grid}")
-    body = spec.body.mask(spec.grid)
+    body = np.flatnonzero(spec.body.mask(spec.grid))
     tumor = spec.tumor.mask(spec.grid)
 
     # the motion series and each condition's maps are dropped once measured

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from moco4d import pool
 from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.metrics import global_ncc, nmi, roi_stats
 from moco4d.patlak import (_PATLAK_BLOCK_VOXELS, InputFunction, cumulative_input,
@@ -12,6 +13,7 @@ from moco4d.patlak import (_PATLAK_BLOCK_VOXELS, InputFunction, cumulative_input
 from moco4d.series import FrameSeries
 
 from oracles import patlak_nfe_scalar, patlak_wls_scalar, pearson_naive
+from pooled import Submissions, record_pool_thread_calls
 
 
 def dense_ifn(fn, t_max=70.0, dt=0.01):
@@ -297,6 +299,39 @@ class TestParametricMaps:
         finally:
             tracemalloc.stop()
         assert peak < maps_bytes + 8 * block_bytes
+
+    def _noisy_series(self, grid, seed):
+        # background voxels, and noise that gives every fitted voxel an NFE
+        rng = np.random.default_rng(seed)
+        ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.05)
+        mids = np.linspace(22.5, 57.5, 8)
+        ki_map = rng.uniform(0.001, 0.03, grid)
+        vb_map = rng.uniform(0.02, 0.1, grid)
+        ki_map[:, :10] = vb_map[:, :10] = 0.0
+        clean = self._series(ki_map, vb_map, ifn, mids)
+        noise = rng.normal(0.0, 0.01, clean.data.shape).astype(np.float32) * (ki_map > 0)
+        return clean.with_data(clean.data + noise), ifn
+
+    def test_pooled_maps_match_inline_bit_for_bit(self, monkeypatch):
+        # over pool.POOLED_MIN_VOXELS, in blocks of which the last is partial
+        grid = (33, 64, 64)
+        assert np.prod(grid) % _PATLAK_BLOCK_VOXELS
+        series, ifn = self._noisy_series(grid, 7)
+        got = parametric_maps(series, ifn, 20.0)
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        want = parametric_maps(series, ifn, 20.0)
+        assert 0 < got.degenerate.sum() < got.degenerate.size
+        for name in ("ki", "vb", "nfe", "degenerate"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("grid, pooled", [((31, 64, 64), False), ((32, 64, 64), True)])
+    def test_pool_runs_grids_from_the_threshold_up(self, monkeypatch, grid, pooled):
+        assert (np.prod(grid) >= pool.POOLED_MIN_VOXELS) == pooled
+        monkeypatch.setattr(pool, "WORKERS", max(2, pool.WORKERS))
+        submissions = Submissions(monkeypatch)
+        calls = record_pool_thread_calls(monkeypatch)
+        parametric_maps(*self._noisy_series(grid, 8), 20.0)
+        assert (submissions.total > 0) == pooled and calls == []
 
     def test_weights_validated(self):
         ifn = dense_ifn(lambda t: 2.0 * np.exp(-t / 30.0) + 0.5, dt=0.05)

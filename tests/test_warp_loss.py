@@ -1,9 +1,13 @@
 """Warping, field resampling, and the similarity + smoothness objective."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from moco4d import autodiff as ad
+from moco4d import pool
 from moco4d.errors import ConfigurationError, DimensionError, NumericError
 from moco4d.losses import LossConfig, local_ncc, local_ncc_map, loss_terms, smoothness
 from moco4d.phantom import endpoint_error
@@ -12,6 +16,7 @@ from moco4d.warping import DisplacementField, resample_field, warp_series
 
 from gradcheck import grad_check
 from oracles import shift_volume, smoothness_naive, warp_trilinear_naive
+from pooled import Submissions, record_pool_thread_calls
 
 CFG3 = LossConfig(lam=1.0, ncc_window=3, ncc_epsilon=1e-5)
 
@@ -69,6 +74,7 @@ class TestWarp:
     @pytest.mark.parametrize("grid", [(5, 6, 7), MULTI_SLAB])
     def test_matches_trilinear_oracle(self, grid):
         if grid == self.MULTI_SLAB:
+            assert np.prod(grid) < pool.POOLED_MIN_VOXELS
             assert grid[0] > ad._WARP_SLAB_VOXELS // (grid[1] * grid[2]) >= 1
         rng = np.random.default_rng(15)
         vol = rng.normal(size=grid)
@@ -150,6 +156,103 @@ class TestWarp:
 
         err = grad_check(f, params, h=1e-4, samples=field.size, rng=rng)
         assert err <= 1e-6
+
+
+class TestPooledWarp:
+    # over pool.POOLED_MIN_VOXELS: five pooled slabs, the last one partial
+    GRID = (33, 64, 64)
+
+    def _case(self, seed, dtype, channels=1, grid=GRID):
+        rng = np.random.default_rng(seed)
+        vol = rng.normal(size=grid if channels == 1 else (channels, *grid)).astype(dtype)
+        field = rng.uniform(-3.0, 3.0, size=(3, *grid)).astype(dtype)
+        return vol, field
+
+    def _field_grad(self, vol, field, weights):
+        with ad.Tape() as tape:
+            p = ad.param("field", field)
+            loss = ad.sum_all(ad.mul(ad.warp(ad.constant(vol), p), weights))
+        return ad.backward(tape, loss)["field"]
+
+    def test_grid_spans_several_pooled_slabs(self):
+        slabs, pooled, _ = ad._warp_slabs(self.GRID)
+        assert pooled and len(slabs) > 2 and slabs[-1].stop - slabs[-1].start < slabs[0].stop
+
+    @pytest.mark.parametrize("dtype, channels", [(np.float32, 1), (np.float64, 3)])
+    def test_forward_matches_inline_bit_for_bit(self, monkeypatch, dtype, channels):
+        vol, field = self._case(30, dtype, channels)
+        got = ad.warp(vol, field).data
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        want = ad.warp(vol, field).data
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_field_vjp_matches_inline_bit_for_bit(self, monkeypatch, dtype):
+        vol, field = self._case(31, dtype)
+        weights = ad.constant(np.random.default_rng(32).normal(size=self.GRID).astype(dtype))
+        got = self._field_grad(vol, field, weights)
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        want = self._field_grad(vol, field, weights)
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("grid, pooled", [((31, 64, 64), False), ((32, 64, 64), True)])
+    def test_pool_runs_grids_from_the_threshold_up(self, monkeypatch, grid, pooled):
+        assert (np.prod(grid) >= pool.POOLED_MIN_VOXELS) == pooled
+        monkeypatch.setattr(pool, "WORKERS", max(2, pool.WORKERS))
+        submissions = Submissions(monkeypatch)
+        vol, field = self._case(33, np.float32, grid=grid)
+        self._field_grad(vol, field, ad.constant(np.ones(grid, np.float32)))
+        assert (submissions.total > 0) == pooled
+
+    def test_taped_pooled_warp_is_one_node(self):
+        vol, field = self._case(34, np.float32)
+        with ad.Tape() as tape:
+            ad.warp(ad.constant(vol), ad.param("field", field))
+        assert len(tape.nodes) == 1 and tape.nodes[0].op == "warp"
+
+    def test_pool_threads_build_no_tensor_and_call_no_public_function(self, monkeypatch):
+        monkeypatch.setattr(pool, "WORKERS", max(2, pool.WORKERS))
+        submissions = Submissions(monkeypatch)
+        calls = record_pool_thread_calls(monkeypatch)
+        vol, field = self._case(35, np.float32)
+        self._field_grad(vol, field, ad.constant(np.ones(self.GRID, np.float32)))
+        assert submissions.total > 0 and calls == []
+
+    def test_call_from_a_pool_thread_runs_inline(self, monkeypatch):
+        submissions = Submissions(monkeypatch)
+        vol, field = self._case(36, np.float64, 3)
+        weights = ad.constant(np.ones(self.GRID))
+        want = ad.warp(vol, field).data, self._field_grad(vol[0], field, weights)
+        got = pool._POOL.submit(lambda: (ad.warp(vol, field).data,
+                                         self._field_grad(vol[0], field, weights)))
+        got = got.result(timeout=120)
+        assert submissions.from_workers == 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_concurrent_callers_match_inline(self, monkeypatch):
+        # more tasks than pool threads, from several callers at once, with
+        # frequent thread switches: a slab written twice or lost shows
+        monkeypatch.setattr(pool, "WORKERS", 4 * pool.WORKERS)
+        cases = [self._case(40 + k, np.float32) for k in range(4)]
+        got = [None] * len(cases)
+
+        def call(k):
+            got[k] = ad.warp(*cases[k]).data
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        for (vol, field), out in zip(cases, got):
+            assert np.array_equal(out, ad.warp(vol, field).data)
 
 
 class TestWarpSeries:
