@@ -92,9 +92,9 @@ class Node:
 class Tensor:
     """A dense array and its `Node`; the array is the tensor's own.
 
-    `parents` (nodes), `vjp`, `name`, `requires_grad` and `op` are the
-    node's. A taped result goes on the tape as its node, so dropping the
-    tensor frees the value unless a VJP captured it."""
+    `vjp`, `name` and `requires_grad` are the node's. A taped result goes on
+    the tape as its node, so dropping the tensor frees the value unless a VJP
+    captured it."""
 
     __slots__ = ("data", "node")
 
@@ -107,10 +107,6 @@ class Tensor:
         tape = _active_tape()
         if tape is not None and parents:
             tape.nodes.append(self.node)
-
-    @property
-    def parents(self):
-        return self.node.parents
 
     @property
     def vjp(self):
@@ -129,10 +125,6 @@ class Tensor:
         return self.node.requires_grad
 
     @property
-    def op(self):
-        return self.node.op
-
-    @property
     def shape(self):
         return self.data.shape
 
@@ -145,32 +137,8 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = self.name or self.op or "tensor"
+        tag = self.name or self.node.op or "tensor"
         return f"Tensor({tag}, shape={self.data.shape}, dtype={self.data.dtype})"
-
-    # -- elementwise arithmetic ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def param(name, data):
@@ -221,8 +189,6 @@ def mul(a, b):
 
 def div(a, b):
     a = _as_tensor(a)
-    if not isinstance(b, Tensor):
-        return mul(a, 1.0 / float(b))
     if a.data.shape != b.data.shape:
         raise DimensionError(f"div: shape mismatch {a.data.shape} vs {b.data.shape}")
     bv = b.data
@@ -266,6 +232,9 @@ def mean_all(a):
 
 # -- activations ----------------------------------------------------------------
 
+LEAKY_SLOPE = 0.2
+
+
 def sigmoid(x):
     # no exp overflows: with e = exp(-|x|) <= 1 the numerator max(e, x >= 0)
     # is 1 for x >= 0, giving 1 / (1 + exp(-x)), and e = exp(x) below
@@ -289,18 +258,18 @@ def tanh(x):
     return _node(out, [x], vjp, "tanh")
 
 
-def leaky_relu(x, slope=0.2):
-    """max(x, slope * x) for 0 < slope < 1, written over x's own buffer.
+def leaky_relu(x):
+    """max(x, LEAKY_SLOPE * x), written over x's own buffer.
 
     The input is overwritten, so call it only on a tensor that nothing else
     reads: in `src/` that is the fresh conv3d output in
     `network._conv_block`, whose VJP does not read its output. The VJP reads
     only the sign of the output, which is the sign of the input."""
     x = _as_tensor(x)
-    out = np.maximum(x.data, slope * x.data, out=x.data)
+    out = np.maximum(x.data, LEAKY_SLOPE * x.data, out=x.data)
 
     def vjp(g):
-        return (g * np.maximum(out > 0, slope, dtype=g.dtype),)
+        return (g * np.maximum(out > 0, LEAKY_SLOPE, dtype=g.dtype),)
 
     return _node(out, [x], vjp, "leaky_relu")
 
@@ -364,73 +333,71 @@ def matvec(m, x):
 
 # -- 3-D convolution --------------------------------------------------------------
 #
-# One plane-interleaved layout serves the forward pass and both VJPs. The input
-# is padded once and stored as [Dp, C, s*s, Hg, Wg] for stride s: each z-plane
-# holds every channel, and each channel its s*s in-plane parity sub-planes of
-# Hg x Wg (for stride 2 the padded rows and columns split by parity). Flat,
-# with P = s*s*Hg*Wg, channel c of plane z*s + i sits at (i*C + c)*P past plane
-# z*s, so the pair (z-tap, channel) has the one stride P. In-plane tap (j, l)
-# reads sub-plane (j%s, l%s) at the row offset (j//s)*Wg + l//s, and output
-# voxel (h, w) of a plane is row h*Wg + w. So each sub-plane that has taps (one
-# at stride 1, up to four at stride 2) gives one strided [ks*C, rows + its last
-# offset] view, with no copy, and each of its taps reads the `rows` rows at the
-# tap's offset. The forward pass stacks the kernels of a sub-plane's T taps in
-# M: one [T*C_out, ks*C] x [ks*C, rows + last offset] GEMM per sub-plane,
-# batched over as many output planes as fit their products and sums in
-# _CONV_STACK_BYTES. Each tap's product is that stack shifted by the tap's
-# offset; the products are summed in tap order, and the sum plus the bias is
-# copied into the output. One large-M GEMM runs faster than T GEMMs with
-# M = C_out, while folding more taps into K (im2col) runs slower. The kernel gradient and the stride-2 scatter run one GEMM per
-# tap on its slice of the view, batched over _CONV_PLANES output planes. Rows
-# with w >= Wo are computed and discarded (forward) or carry a zero gradient
-# (VJPs).
+# Kernels are 3x3x3 (ks = 3) at padding 1, stride s of 1 or 2. One
+# plane-interleaved layout serves the forward pass and both VJPs. The input is
+# padded by 1 once and stored as [D + 2, C, s*s, Hg, Wg]: each z-plane holds
+# every channel, and each channel its s*s in-plane parity sub-planes of Hg x Wg
+# (for stride 2 the padded rows and columns split by parity). Flat, with
+# P = s*s*Hg*Wg, channel c of plane z*s + i sits at (i*C + c)*P past plane z*s,
+# so the pair (z-tap, channel) has the one stride P. In-plane tap (j, l) reads
+# sub-plane (j%s, l%s) at the row offset (j//s)*Wg + l//s, and output voxel
+# (h, w) of a plane is row h*Wg + w. So each sub-plane (one at stride 1, four
+# at stride 2) gives one strided [ks*C, rows + its last offset] view, with no
+# copy, and each of its taps reads the `rows` rows at the tap's offset. The
+# forward pass stacks the kernels of a sub-plane's T taps in M: one
+# [T*C_out, ks*C] x [ks*C, rows + last offset] GEMM per sub-plane, batched over
+# as many output planes as fit their products and sums in _CONV_STACK_BYTES.
+# Each tap's product is that stack shifted by the tap's offset; the products
+# are summed in tap order, and the sum plus the bias is copied into the output.
+# One large-M GEMM runs faster than T GEMMs with M = C_out, while folding more
+# taps into K (im2col) runs slower. The kernel gradient and the stride-2
+# scatter run one GEMM per tap on its slice of the view, batched over
+# _CONV_PLANES output planes. Rows with w >= Wo are computed and discarded
+# (forward) or carry a zero gradient (VJPs).
 
 _CONV_PLANES = 4
 _CONV_STACK_BYTES = 2 << 20
 
 
-def _parities(spatial, pad, s):
+def _parities(spatial, s):
     """Where x [C, D, H, W] goes in its plane layout: for each in-plane parity
     sub-plane, (parity, rows and columns of x, rows and columns of the
     sub-plane)."""
     _, h, w = spatial
     for a in range(s):
         for b in range(s):
-            h0, w0 = (a - pad) % s, (b - pad) % s
-            r, q = (h0 + pad) // s, (w0 + pad) // s
+            h0, w0 = (a - 1) % s, (b - 1) % s
+            r, q = (h0 + 1) // s, (w0 + 1) // s
             yield (a * s + b, (slice(h0, None, s), slice(w0, None, s)),
                    (slice(r, r + len(range(h0, h, s))), slice(q, q + len(range(w0, w, s)))))
 
 
-def _planes(x, pad, s):
-    """[C, D, H, W] -> zero-padded plane layout [D + 2*pad, C, s*s, Hg, Wg]; a
-    negative pad crops."""
-    if pad < 0:
-        x, pad = x[:, -pad:pad, -pad:pad, -pad:pad], 0
+def _planes(x, s):
+    """[C, D, H, W] -> plane layout [D + 2, C, s*s, Hg, Wg], zero-padded by 1."""
     c, d, h, w = x.shape
-    hg, wg = (-(-(n + 2 * pad) // s) for n in (h, w))
-    xp = np.zeros((d + 2 * pad, c, s * s, hg, wg), dtype=x.dtype)
+    hg, wg = (-(-(n + 2) // s) for n in (h, w))
+    xp = np.zeros((d + 2, c, s * s, hg, wg), dtype=x.dtype)
     xt = x.transpose(1, 0, 2, 3)
-    for par, (xh, xw), (ph, pw) in _parities(x.shape[1:], pad, s):
-        xp[pad:pad + d, :, par, ph, pw] = xt[:, :, xh, xw]
+    for par, (xh, xw), (ph, pw) in _parities(x.shape[1:], s):
+        xp[1:1 + d, :, par, ph, pw] = xt[:, :, xh, xw]
     return xp
 
 
-def _from_planes(xp, pad, s, spatial):
-    """Adjoint of `_planes` for pad >= 0: plane layout -> [C, D, H, W]."""
+def _from_planes(xp, s, spatial):
+    """Adjoint of `_planes`: plane layout -> [C, D, H, W]."""
     d = spatial[0]
     x = np.empty((xp.shape[1], *spatial), dtype=xp.dtype)
-    for par, (xh, xw), (ph, pw) in _parities(spatial, pad, s):
-        x[:, :, xh, xw] = xp[pad:pad + d, :, par, ph, pw].transpose(1, 0, 2, 3)
+    for par, (xh, xw), (ph, pw) in _parities(spatial, s):
+        x[:, :, xh, xw] = xp[1:1 + d, :, par, ph, pw].transpose(1, 0, 2, 3)
     return x
 
 
 def _conv_extents(xp_shape, ks, s):
     """Output extents (Do, Ho, Wo) and row count of a conv on a plane layout.
 
-    For s in (1, 2) and ks in (1, 3), (Hp - ks)//s + 1 over the padded
-    extent Hp equals Hg - (ks - 1)//s over its sub-plane extent
-    Hg = ceil(Hp / s), whichever parity Hp has; so too for W."""
+    For s in (1, 2) and ks = 3, (Hp - ks)//s + 1 over the padded extent Hp
+    equals Hg - (ks - 1)//s over its sub-plane extent Hg = ceil(Hp / s),
+    whichever parity Hp has; so too for W."""
     dp, _, _, hg, wg = xp_shape
     do, ho, wo = (dp - ks) // s + 1, hg - (ks - 1) // s, wg - (ks - 1) // s
     return (do, ho, wo), (ho - 1) * wg + wo
@@ -442,16 +409,16 @@ def _plane_batches(do, n):
 
 
 def _tap_groups(ks, s, wg):
-    """Per in-plane parity sub-plane that has taps: its index, its in-plane
-    taps n = j*ks + l in order, and their row offsets (rising)."""
-    for a in range(min(ks, s)):
-        for b in range(min(ks, s)):
+    """Per in-plane parity sub-plane: its index, its in-plane taps
+    n = j*ks + l in order, and their row offsets (rising)."""
+    for a in range(s):
+        for b in range(s):
             taps = [j * ks + l for j in range(a, ks, s) for l in range(b, ks, s)]
             yield a * s + b, taps, [(n // ks // s) * wg + n % ks // s for n in taps]
 
 
 def _sub_plane_views(xp, ks, s, z0, z1):
-    """Per sub-plane that has taps: its taps, their row offsets and the no-copy
+    """Per sub-plane: its taps, their row offsets and the no-copy
     [z1 - z0, ks*C, rows + last offset] view of output planes z0..z1-1, whose
     entry [z, i*C + c, r] is row r of the sub-plane in input plane
     (z0 + z)*s + i, channel c. Tap n's operand is the slice [..., o:o + rows]
@@ -506,12 +473,9 @@ def _correlate(xp, k, s, b):
         acc = sums[:z, :, :rows]
         for (km, st), (_, _, a) in zip(stacks, _sub_plane_views(xp, ks, s, z0, z1)):
             np.matmul(km, a, out=st[:z])
-        if ks == 1:
-            acc[...] = prods[0][:z]
-        else:
-            np.add(prods[0][:z], prods[1][:z], out=acc)
-            for p in prods[2:]:
-                acc += p[:z]
+        np.add(prods[0][:z], prods[1][:z], out=acc)
+        for p in prods[2:]:
+            acc += p[:z]
         np.add(voxels[:, :z], b, out=y[:, z0:z1])
     return y
 
@@ -552,41 +516,41 @@ def _scatter_input_grad(gp, k, xp_shape, s):
     return gxp
 
 
-def conv3d(x, kernels, bias, stride=1, padding=1):
+def conv3d(x, kernels, bias, stride=1):
     """Direct (correlation) 3-D convolution: [C_in,D,H,W] -> [C_out,D',H',W'].
 
-    Kernel spatial extent must be 1 or 3, stride 1 or 2, padding 0 or 1.
+    Kernels must be 3x3x3; the input is zero-padded by 1 and the stride is 1
+    or 2.
 
     All three passes run on one plane-interleaved layout (see the comment
     above `_CONV_PLANES`): the input is padded once, and each in-plane parity
-    sub-plane that has taps is one strided view of it whose GEMM dimension K
-    runs over the z-taps and channels. The forward pass runs one GEMM per
-    sub-plane and batch of output planes, with the sub-plane's tap kernels
-    stacked in M, and sums the taps' shifted products in tap order. The output
-    is C-ordered. The VJP copies the output gradient once into a fixed
-    [Do, C_out, Ho, Wg] layout, which the kernel and bias gradients read, so
-    no gradient's bits depend on the incoming gradient's memory layout. At
-    stride 1 the input gradient is the forward kernel run on the output
-    gradient, with the flipped, channel-transposed kernel and padding
-    ks-1-padding; at stride 2 it is a scatter through each tap's slice of its
-    sub-plane view. The input and kernel gradients are only computed for
-    operands that require a gradient.
+    sub-plane is one strided view of it whose GEMM dimension K runs over the
+    z-taps and channels. The forward pass runs one GEMM per sub-plane and
+    batch of output planes, with the sub-plane's tap kernels stacked in M, and
+    sums the taps' shifted products in tap order. The output is C-ordered. The
+    VJP copies the output gradient once into a fixed [Do, C_out, Ho, Wg]
+    layout, which the kernel and bias gradients read, so no gradient's bits
+    depend on the incoming gradient's memory layout. At stride 1 the input
+    gradient is the forward kernel run on the output gradient, with the
+    flipped, channel-transposed kernel, again at padding 1; at stride 2 it is
+    a scatter through each tap's slice of its sub-plane view. The input and
+    kernel gradients are only computed for operands that require a gradient.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     k = kernels.data
     if x.data.ndim != 4 or k.ndim != 5:
         raise DimensionError(f"conv3d: input ndim {x.data.ndim}, kernel ndim {k.ndim}")
-    if k.shape[2] not in (1, 3) or k.shape[2:] != (k.shape[2],) * 3:
+    if k.shape[2:] != (3, 3, 3):
         raise DimensionError(f"conv3d: unsupported kernel extent {k.shape[2:]}")
     if k.shape[1] != x.data.shape[0]:
         raise DimensionError(f"conv3d: {k.shape[1]} kernel channels vs {x.data.shape[0]} input")
     if bias.data.shape != (k.shape[0],):
         raise DimensionError(f"conv3d: bias shape {bias.data.shape} vs {k.shape[0]} kernels")
-    if stride not in (1, 2) or padding not in (0, 1):
-        raise DimensionError(f"conv3d: stride {stride}, padding {padding} unsupported")
+    if stride not in (1, 2):
+        raise DimensionError(f"conv3d: stride {stride} unsupported")
     if not _finite(x.data):
         raise NumericError("conv3d: non-finite input")
-    xp = _planes(x.data, padding, stride)
+    xp = _planes(x.data, stride)
     y = _correlate(xp, k, stride, bias.data.reshape(-1, 1, 1, 1))
     # the input gradient reads only the kernel, the kernel gradient only the
     # input
@@ -603,12 +567,12 @@ def conv3d(x, kernels, bias, stride=1, padding=1):
         gx = gk = gb = None
         if kv is not None and stride == 1:
             flipped = kv.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-            gx = _correlate(_planes(g, k_shape[2] - 1 - padding, 1), flipped, 1, 0.0)
+            gx = _correlate(_planes(g, 1), flipped, 1, 0.0)
         elif kv is not None:
-            gx = _from_planes(_scatter_input_grad(gp, kv, xp_shape, stride), padding,
-                              stride, x_spatial)
+            gx = _from_planes(_scatter_input_grad(gp, kv, xp_shape, stride), stride,
+                              x_spatial)
         if xv is not None:
-            gk = _kernel_grad(_planes(xv, padding, stride), gp, k_shape, stride)
+            gk = _kernel_grad(_planes(xv, stride), gp, k_shape, stride)
         if bias_grad:
             gb = gp.sum(axis=(0, 2), dtype=np.float64).astype(g.dtype)
         return gx, gk, gb

@@ -92,7 +92,7 @@ def convlstm_step(k, b, x_t, prev) -> ConvLstmState:
                              f"hidden {hidden} over {spatial}")
     xh = ad.concat_channels([x_t, prev.h])
     if k.data.ndim == 5:
-        pre = ad.conv3d(xh, k, b, stride=1, padding=k.shape[2] // 2)
+        pre = ad.conv3d(xh, k, b, stride=1)
     else:
         pre = ad.add(ad.matvec(k, xh), b)
     return _lstm_update(ad.reshape(pre, (4, hidden, *spatial)), prev.c)

@@ -48,7 +48,8 @@ def local_ncc_map(a, b, cfg: LossConfig):
     ua = ad.mul(sa, 1.0 / n)
     ub = ad.mul(sb, 1.0 / n)
     # cross = sum((a-ua)(b-ub)); var analogously, all over the window
-    cross = ad.add(ad.add(sab, -ad.mul(ua, sb) - ad.mul(ub, sa)),
+    cross = ad.add(ad.add(sab, ad.add(ad.mul(ad.mul(ua, sb), -1.0),
+                                      ad.mul(ad.mul(ub, sa), -1.0))),
                    ad.mul(ad.mul(ua, ub), n))
     var_a = ad.add(ad.add(saa, ad.mul(ad.mul(ua, sa), -2.0)), ad.mul(ad.mul(ua, ua), n))
     var_b = ad.add(ad.add(sbb, ad.mul(ad.mul(ub, sb), -2.0)), ad.mul(ad.mul(ub, ub), n))

@@ -1,7 +1,9 @@
 """Displacement-estimation network: a 4-level 3-D U-Net over (moving, reference)
 frame pairs, with optional recurrent blocks.
 
-Layout (channels):
+Every conv is 3x3x3 at padding 1 (`autodiff.conv3d`), and every conv but
+`flow` is followed by a leaky ReLU of slope `autodiff.LEAKY_SLOPE`. Layout
+(channels):
 
     enc0   conv 2->16, stride 1          full resolution
     down1  conv 16->32, stride 2         1/2
@@ -40,7 +42,6 @@ from .errors import ConfigurationError, DimensionError
 
 LEVELS = 4
 DOWN_FACTOR = 2 ** LEVELS
-LEAKY_SLOPE = 0.2
 FLOW_STD = 1e-5
 
 _ENCODER = [
@@ -151,8 +152,8 @@ def _check_extents(extents):
 
 def _conv_block(params, name, x, stride):
     t = params.tensors
-    y = ad.conv3d(x, t[f"{name}.k"], t[f"{name}.b"], stride=stride, padding=1)
-    return ad.leaky_relu(y, LEAKY_SLOPE)
+    y = ad.conv3d(x, t[f"{name}.k"], t[f"{name}.b"], stride=stride)
+    return ad.leaky_relu(y)
 
 
 def _encode(params, x):
@@ -217,7 +218,7 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
                                      _conv_block(params, "sconv", feat, stride=1), state)
             feat = state.h
 
-        fields.append(ad.conv3d(feat, t["flow.k"], t["flow.b"], stride=1, padding=1))
+        fields.append(ad.conv3d(feat, t["flow.k"], t["flow.b"], stride=1))
     return fields
 
 

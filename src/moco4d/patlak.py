@@ -1,6 +1,6 @@
 """Voxel-wise graphical fitting of irreversible-tracer kinetics.
 
-After a start time t*, tissue activity is modeled as
+After a start time t* (T_STAR), tissue activity is modeled as
     C_T(t) = Ki * integral_0^t C_P + Vb * C_P(t)
 and fitted by weighted least squares per voxel. The normalized weighted mean
 fitting error (NFE) uses the degrees-of-freedom denominator (n - 2).
@@ -17,6 +17,8 @@ from .errors import ConfigurationError, DimensionError
 from .series import FrameSeries
 
 F18_HALF_LIFE_MIN = 109.77
+# min; the fit uses only the frames whose mid-time is at least T_STAR
+T_STAR = 20.0
 # a voxel whose mean activity past t* is at most this fraction of the series
 # maximum is background and flagged degenerate
 ACTIVITY_FLOOR = 1e-6
@@ -85,31 +87,22 @@ def cumulative_input(ifn: InputFunction, t):
     return float(out) if np.isscalar(t) else out
 
 
-def parametric_maps(series: FrameSeries, ifn: InputFunction, t_star,
-                    weights=None) -> ParametricMaps:
-    """Per-voxel fit + NFE over a series; degenerate voxels (air/background or
-    singular fits) are flagged, never aborting the volume.
+def parametric_maps(series: FrameSeries, ifn: InputFunction) -> ParametricMaps:
+    """Per-voxel fit + NFE over the frames past T_STAR, weighted by
+    `decay_weights`; degenerate voxels (air/background or singular fits) are
+    flagged, never aborting the volume.
 
-    `weights` holds one positive weight per frame, or per frame past t*; it
-    defaults to `decay_weights`. The fit is vectorized: the design matrix is
-    shared by all voxels, only the right-hand side varies; it and the NFE
-    run one block of `_PATLAK_BLOCK_VOXELS` voxels at a time, each block in
-    its own slice of the maps. On a grid of at least `pool.POOLED_MIN_VOXELS`
-    voxels the blocks run on the pool; the maps are the same, bit for bit, as
-    from the serial loop. A single time-activity curve is a 1-voxel series."""
-    sel = series.mid_times >= t_star
+    The fit is vectorized: the design matrix is shared by all voxels, only the
+    right-hand side varies; it and the NFE run one block of
+    `_PATLAK_BLOCK_VOXELS` voxels at a time, each block in its own slice of
+    the maps. On a grid of at least `pool.POOLED_MIN_VOXELS` voxels the blocks
+    run on the pool; the maps are the same, bit for bit, as from the serial
+    loop. A single time-activity curve is a 1-voxel series."""
+    sel = series.mid_times >= T_STAR
     n = int(sel.sum())
     if n < 3:
-        raise ConfigurationError(f"need >= 3 frames past t*={t_star} for NFE")
-    if weights is None:
-        weights = decay_weights(series.mid_times[sel], series.durations[sel])
-    wv = np.asarray(weights, dtype=np.float64)
-    if wv.shape not in ((n,), (series.frames,)):
-        raise DimensionError(f"fit weights {wv.shape} for {series.frames} frames, "
-                             f"{n} past t*={t_star}")
-    if np.any(wv <= 0):
-        raise ConfigurationError("fit weights must be positive")
-    wv = wv if len(wv) == n else wv[sel]
+        raise ConfigurationError(f"need >= 3 frames past t*={T_STAR} for NFE")
+    wv = decay_weights(series.mid_times[sel], series.durations[sel])
     x1 = cumulative_input(ifn, series.mid_times[sel])
     x2 = ifn.at(series.mid_times[sel])
     if np.any(x2 <= 0):

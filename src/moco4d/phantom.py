@@ -34,7 +34,7 @@ VOXEL_SIZE_MM = (8.0, 8.0, 8.0)
 BACKGROUND_KI = 0.002       # body
 BACKGROUND_VB = 0.05        # body
 
-# frames: consecutive late frames, all past t*=20
+# frames: consecutive late frames, all past patlak.T_STAR
 FRAME_START_MID = 22.5      # min
 FRAME_SPACING = 5.0         # min, also each frame's duration
 
@@ -238,11 +238,11 @@ def endpoint_error(est_fields, true_fields):
     return total / max(count, 1)
 
 
-def _condition_metrics(series, ifn, t_star, body, tumor_mask):
+def _condition_metrics(series, ifn, body, tumor_mask):
     """`body` holds the flat indices of the body voxels, in increasing order."""
-    maps = parametric_maps(series, ifn, t_star)
+    maps = parametric_maps(series, ifn)
     nfe_vals = np.take(maps.nfe, body[~np.take(maps.degenerate, body)])
-    ki_mean, ki_max, _ = roi_stats(maps.ki, tumor_mask)
+    ki_mean, ki_max = roi_stats(maps.ki, tumor_mask)
     ki, vb = np.take(maps.ki, body), np.take(maps.vb, body)
     return {
         "nfe_mean": float(nfe_vals.mean()) if nfe_vals.size else float("nan"),
@@ -255,12 +255,15 @@ def _condition_metrics(series, ifn, t_star, body, tumor_mask):
 
 
 def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
-                        est_fields, spec: PhantomSpec, ifn: InputFunction,
-                        t_star=20.0):
+                        est_fields, spec: PhantomSpec, ifn: InputFunction):
     """Fit three conditions and report their kinetic statistics and alignment
     metrics, and the field endpoint error. The conditions are the motion-free
     truth, the motion series (the truth warped by the true fields: bit for bit
-    the series `inject_motion` returns) and the corrected series."""
+    the series `inject_motion` returns) and the corrected series; each is
+    fitted by `parametric_maps`, over its frames past patlak.T_STAR. Per
+    condition the report holds the body's mean and max NFE (non-degenerate
+    voxels only), the tumor's Ki mean and max, and the NMI and NCC of the
+    body's Ki and Vb."""
     if (corrected.grid != truth.grid
             or not np.array_equal(corrected.mid_times, truth.mid_times)
             or not np.array_equal(corrected.durations, truth.durations)):
@@ -274,10 +277,9 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
 
     # the motion series and each condition's maps are dropped once measured
     report = {
-        "motion_free": _condition_metrics(truth, ifn, t_star, body, tumor),
-        "motion": _condition_metrics(warp_series(truth, true_fields), ifn, t_star,
-                                     body, tumor),
-        "corrected": _condition_metrics(corrected, ifn, t_star, body, tumor),
+        "motion_free": _condition_metrics(truth, ifn, body, tumor),
+        "motion": _condition_metrics(warp_series(truth, true_fields), ifn, body, tumor),
+        "corrected": _condition_metrics(corrected, ifn, body, tumor),
     }
     report["endpoint_error_voxels"] = endpoint_error(est_fields, true_fields)
     zero = np.zeros_like(true_fields[0].data)     # read only, shared by every frame

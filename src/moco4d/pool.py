@@ -18,8 +18,10 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-# one thread per core this process may run on
-WORKERS = len(os.sched_getaffinity(0))
+# one thread per core this process may run on; where the platform cannot say
+# which cores those are (no sched_getaffinity), one per core of the machine
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 # smaller grids run inline: their chunks are too short for a second thread to
 # pay, and OpenBLAS threads may still be spinning after a conv GEMM
 POOLED_MIN_VOXELS = 1 << 17

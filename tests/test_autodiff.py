@@ -31,26 +31,30 @@ class TestConv3d:
         x = np.zeros((2, 4, 4, 4))
         k = rng.normal(size=(3, 2, 3, 3, 3))
         b = np.array([1.5, -2.0, 0.25])
-        y = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), 1, 1)
+        y = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), 1)
         for c in range(3):
             assert np.all(y.data[c] == b[c])
 
     def test_counting_case(self):
+        # an all-ones kernel on an all-ones input counts the input voxels
+        # each zero-padded window covers: 2 or 3 per axis
         x = np.ones((1, 3, 3, 3))
         k = np.ones((1, 1, 3, 3, 3))
         b = np.zeros(1)
-        y = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), 1, 0)
-        assert y.data.shape == (1, 1, 1, 1)
-        assert y.data[0, 0, 0, 0] == 27.0
+        y = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), 1)
+        per_axis = np.array([2.0, 3.0, 2.0])
+        assert y.data.shape == (1, 3, 3, 3)
+        assert np.array_equal(y.data[0], np.einsum("i,j,l->ijl", per_axis, per_axis, per_axis))
+        assert y.data[0, 1, 1, 1] == 27.0
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    def test_matches_naive_loop_oracle(self, stride, padding):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_naive_loop_oracle(self, stride):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(2, 5, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3, 3))
         b = rng.normal(size=3)
-        got = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), stride, padding)
-        want = conv3d_naive(x, k, b, stride, padding)
+        got = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), stride)
+        want = conv3d_naive(x, k, b, stride, 1)
         rel = np.abs(got.data - want) / np.maximum(np.abs(want), 1e-300)
         assert rel.max() <= 1e-12
 
@@ -58,17 +62,16 @@ class TestConv3d:
         x = np.zeros((1, 8, 6, 10))
         k = np.zeros((4, 1, 3, 3, 3))
         b = np.zeros(4)
-        y = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), 2, 1)
+        y = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), 2)
         assert y.data.shape == (4, 4, 3, 5)
 
     def test_kernel_extent_one(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 3, 3))
-        k = rng.normal(size=(4, 2, 1, 1, 1))
-        b = rng.normal(size=4)
-        y = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), 1, 0)
-        want = np.tensordot(k[:, :, 0, 0, 0], x, axes=(1, 0)) + b[:, None, None, None]
-        np.testing.assert_allclose(y.data, want, rtol=1e-13)
+        # only 3x3x3 kernels: a 1x1x1 kernel is rejected at the boundary
+        x = np.zeros((2, 3, 3, 3))
+        for extent in [(1, 1, 1), (3, 3, 1)]:
+            with pytest.raises(DimensionError):
+                ad.conv3d(ad.constant(x), ad.constant(np.zeros((4, 2, *extent))),
+                          ad.constant(np.zeros(4)))
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(7)
@@ -104,29 +107,28 @@ class TestConv3d:
             ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(np.zeros(1)))
 
     # spatial extents whose output depth spans at least two chunks (batches of
-    # ad._CONV_PLANES output planes) and ends in a partial one at each stride,
-    # for every kernel extent and padding of _multi_chunk_case
+    # ad._CONV_PLANES output planes) and ends in a partial one at each stride
     MULTI_CHUNK = {1: (11, 6, 7), 2: (19, 9, 10)}
 
-    def _multi_chunk_case(self, monkeypatch, stride, ks=3, padding=1, cin=2, cout=2):
+    def _multi_chunk_case(self, monkeypatch, stride, cin=2, cout=2):
         """Input, kernel and output gradient for a MULTI_CHUNK conv at `stride`,
         and the list into which the forward pass records (Do, planes per
         batch). The buffer cap is lowered to ad._CONV_PLANES output planes'
         worth of sums and tap products, since these small convs fit in one
         batch at the default cap."""
         spatial = self.MULTI_CHUNK[stride]
-        out = [(n + 2 * padding - ks) // stride + 1 for n in spatial]
+        out = [(n - 1) // stride + 1 for n in spatial]
         assert out[0] > ad._CONV_PLANES and out[0] % ad._CONV_PLANES
         rng = np.random.default_rng(0)
         x = rng.normal(size=(cin, *spatial))
-        k = rng.normal(size=(cout, cin, ks, ks, ks))
+        k = rng.normal(size=(cout, cin, 3, 3, 3))
         g = rng.normal(size=(cout, *out))
         # one output plane's share of the buffer: its Ho*Wg sum rows and, per
         # sub-plane with taps, each tap's product up to the last offset
-        wg = -(-(spatial[2] + 2 * padding) // stride)
+        wg = -(-(spatial[2] + 2) // stride)
         rows = (out[1] - 1) * wg + out[2]
         plane = cout * (out[1] * wg + sum(len(taps) * (rows + offs[-1])
-                                          for _, taps, offs in ad._tap_groups(ks, stride, wg)))
+                                          for _, taps, offs in ad._tap_groups(3, stride, wg)))
         monkeypatch.setattr(ad, "_CONV_STACK_BYTES", ad._CONV_PLANES * plane * x.itemsize)
         batches, plane_batches = [], ad._plane_batches
 
@@ -142,11 +144,10 @@ class TestConv3d:
         # the forward pass batches first: at least two batches, the last partial
         assert batches[0] == (do, ad._CONV_PLANES) and do % ad._CONV_PLANES
 
-    def _grads(self, x, k, stride, padding, g):
+    def _grads(self, x, k, stride, g):
         xt, kt = ad.param("x", x), ad.param("k", k)
         with ad.Tape() as tape:
-            y = ad.conv3d(xt, kt, ad.constant(np.zeros(k.shape[0], x.dtype)), stride,
-                          padding)
+            y = ad.conv3d(xt, kt, ad.constant(np.zeros(k.shape[0], x.dtype)), stride)
             loss = ad.sum_all(ad.mul(y, ad.constant(g)))
         grads = ad.backward(tape, loss)
         return y.data, grads["x"], grads["k"]
@@ -155,7 +156,7 @@ class TestConv3d:
     def test_multi_chunk_matches_naive_loop_oracle(self, monkeypatch, stride):
         x, k, g, batches = self._multi_chunk_case(monkeypatch, stride)
         b = np.array([0.5, -1.25])
-        got = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), stride, 1).data
+        got = ad.conv3d(ad.constant(x), ad.constant(k), ad.constant(b), stride).data
         self._assert_partial_last_batch(batches, g.shape[1])
         want = conv3d_naive(x, k, b, stride, 1)
         # normwise: among thousands of outputs some cancel to near zero,
@@ -164,19 +165,15 @@ class TestConv3d:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_multi_chunk_adjoint_identities(self, monkeypatch, stride):
-        # at stride 1 the input gradient runs the forward kernel with padding
-        # ks - 1 - padding: 1, 2 (kernel extent 3, padding 0), 0 and -1 (a crop);
-        # kernel extent 1 at stride 2 leaves three of the four sub-planes
-        # without a tap
-        for ks, padding in [(3, 1), (3, 0), (1, 0), (1, 1)]:
-            with monkeypatch.context() as mp:
-                x, k, g, batches = self._multi_chunk_case(mp, stride, ks, padding)
-                y, gx, gk = self._grads(x, k, stride, padding, g)
-            self._assert_partial_last_batch(batches, g.shape[1])
-            lhs = np.vdot(y, g)
-            # conv is linear in its input and, separately, in its kernel
-            assert abs(lhs - np.vdot(x, gx)) <= 1e-12 * abs(lhs)
-            assert abs(lhs - np.vdot(k, gk)) <= 1e-12 * abs(lhs)
+        # at stride 1 the input gradient runs the forward kernel on the output
+        # gradient; at stride 2 it is a scatter through the tap views
+        x, k, g, batches = self._multi_chunk_case(monkeypatch, stride)
+        y, gx, gk = self._grads(x, k, stride, g)
+        self._assert_partial_last_batch(batches, g.shape[1])
+        lhs = np.vdot(y, g)
+        # conv is linear in its input and, separately, in its kernel
+        assert abs(lhs - np.vdot(x, gx)) <= 1e-12 * abs(lhs)
+        assert abs(lhs - np.vdot(k, gk)) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_bias_gradient_is_independent_of_the_gradient_layout(self, stride):
@@ -187,7 +184,7 @@ class TestConv3d:
         k = rng.normal(size=(4, 3, 3, 3, 3))
         with ad.Tape():
             y = ad.conv3d(ad.constant(x), ad.constant(k), ad.param("b", np.zeros(4)),
-                          stride, 1)
+                          stride)
         g = rng.normal(size=y.shape)
         g_last = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         gb, gb_last = y.vjp(g)[2], y.vjp(g_last)[2]
@@ -246,15 +243,15 @@ class TestActivations:
     def test_leaky_relu_definition(self):
         # written over the input's buffer
         data = np.array([-1.0, 2.0])
-        y = ad.leaky_relu(ad.constant(data), slope=0.2)
+        y = ad.leaky_relu(ad.constant(data))
         np.testing.assert_allclose(y.data, [-0.2, 2.0])
         assert np.shares_memory(y.data, data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_leaky_relu_matches_the_where_formula(self, dtype):
-        # max(x, slope*x) and g * max(out > 0, slope) give the select
-        # formulas' bytes, signed zeros, infinities, NaNs and subnormals
-        # included
+        # max(x, slope*x) and g * max(out > 0, slope) at slope ad.LEAKY_SLOPE
+        # give the select formulas' bytes, signed zeros, infinities, NaNs and
+        # subnormals included
         rng = np.random.default_rng(16)
         info = np.finfo(dtype)
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max,
@@ -266,11 +263,11 @@ class TestActivations:
         g = np.concatenate([rng.normal(size=n), special]).astype(dtype)
         x = x.reshape(2, 7, 7, 1024)
         g = rng.permutation(g).reshape(x.shape)
-        want, want_g = leaky_relu_where(x, 0.2, g)
+        want, want_g = leaky_relu_where(x, ad.LEAKY_SLOPE, g)
         # an input laid out otherwise than the gradient: channels last in memory
         x_last = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         with ad.Tape():
-            y = ad.leaky_relu(ad.param("x", x_last), slope=0.2)
+            y = ad.leaky_relu(ad.param("x", x_last))
         got_g = y.vjp(g)[0]
         assert y.data.dtype == got_g.dtype == dtype
         assert y.data.tobytes(order="A") == want.tobytes(order="A")
@@ -391,7 +388,7 @@ class TestGradCheck:
         }
 
         def f(p):
-            y = ad.conv3d(p["x"], p["k"], p["b"], 1, 1)
+            y = ad.conv3d(p["x"], p["k"], p["b"], 1)
             return ad.mean_all(ad.mul(ad.tanh(y), y))
 
         err = grad_check(f, params, h=1e-4, samples=120, rng=rng)
@@ -515,7 +512,7 @@ def test_determinism_repeated_runs():
         x = ad.param("x", rng.normal(size=(2, 6, 6, 6)).astype(np.float32))
         k = ad.param("k", rng.normal(size=(3, 2, 3, 3, 3)).astype(np.float32))
         with ad.Tape() as tape:
-            y = ad.conv3d(x, k, ad.constant(np.zeros(3, dtype=np.float32)), 2, 1)
+            y = ad.conv3d(x, k, ad.constant(np.zeros(3, dtype=np.float32)), 2)
             loss = ad.mean_all(ad.square(y))
         g = ad.backward(tape, loss)
         return loss.data.copy(), {n: v.copy() for n, v in g.items()}

@@ -161,7 +161,7 @@ def pair(seq, t):
 def flow(params, feat):
     """The network's flow head: the last conv, with no activation."""
     t = params.tensors
-    return ad.conv3d(feat, t["flow.k"], t["flow.b"], stride=1, padding=1)
+    return ad.conv3d(feat, t["flow.k"], t["flow.b"], stride=1)
 
 
 class TestUnroll:
@@ -291,12 +291,14 @@ class TestDense:
             cl.convlstm_step(k, b, ad.constant(np.zeros(4)), state(np.zeros(2), np.zeros(2)))
 
     def test_degenerate_equivalence_with_conv_cell(self):
-        # a 1x1x1 feature map with 1^3 kernels is exactly the dense cell
+        # on a 1x1x1 feature map the zero padding leaves only the centre tap
+        # of each 3^3 kernel: the conv cell is exactly the dense cell whose
+        # kernel is those centre taps
         rng = np.random.default_rng(9)
         cin, hid = 3, 2
-        conv_k, conv_b = random_params(rng, cin, hid, kernel=(1, 1, 1))
+        conv_k, conv_b = random_params(rng, cin, hid)
         dense_k, dense_b = random_params(rng, cin, hid, kernel=())
-        dense_k.data[:] = conv_k.data[..., 0, 0, 0]
+        dense_k.data[:] = conv_k.data[..., 1, 1, 1]
         dense_b.data[:] = conv_b.data
         x = rng.normal(size=cin)
         h0 = rng.normal(size=hid)
@@ -323,7 +325,7 @@ class TestInvariants:
             assert np.abs(st.h.data).max() < 1.0
             # input gate: the first row block of the packed kernel
             pre = ad.conv3d(ad.concat_channels([x, h0]), ad.constant(k.data[:2]),
-                            ad.constant(b.data[:2]), 1, 1)
+                            ad.constant(b.data[:2]), 1)
             gate = ad.sigmoid(pre).data
             assert np.all((gate > 0.0) & (gate < 1.0))
             total += st.h.data.size
@@ -354,9 +356,13 @@ class TestInvariants:
         assert err <= 1e-4
 
     def test_pointwise_kernels_commute_with_site_permutation(self):
-        # with 1^3 kernels each voxel evolves independently
+        # with 3^3 kernels that are zero but for the centre tap each voxel
+        # evolves independently
         rng = np.random.default_rng(13)
-        k, b = random_params(rng, 2, 2, kernel=(1, 1, 1))
+        k, b = random_params(rng, 2, 2)
+        centre = k.data[..., 1, 1, 1].copy()
+        k.data[:] = 0.0
+        k.data[..., 1, 1, 1] = centre
         x = rng.normal(size=(2, 1, 1, 6))
         h0 = rng.normal(size=(2, 1, 1, 6))
         c0 = rng.normal(size=(2, 1, 1, 6))

@@ -99,13 +99,13 @@ class TestShapes:
         # as_strided checks no bounds: for every conv that the variants run,
         # each sub-plane view of the forward pass, the kernel gradient and the
         # stride-2 scatter (the input's plane layout) and of the stride-1
-        # input gradient (the output gradient's, at padding ks - 1 - padding)
-        # must lie inside its plane buffer
+        # input gradient (the output gradient's) must lie inside its plane
+        # buffer
         convs, conv3d = set(), ad.conv3d
 
-        def recording(x, kernels, bias, stride=1, padding=1):
-            convs.add((x.shape, kernels.shape, stride, padding))
-            return conv3d(x, kernels, bias, stride, padding)
+        def recording(x, kernels, bias, stride=1):
+            convs.add((x.shape, kernels.shape, stride))
+            return conv3d(x, kernels, bias, stride)
 
         monkeypatch.setattr(ad, "conv3d", recording)
         rng = np.random.default_rng(3)
@@ -114,17 +114,17 @@ class TestShapes:
             params = make_params(variant, extents=extents, dtype=np.float32)
             net.estimate_displacements(params, FramePairSequence(frames[0], frames[1:]))
         assert len(convs) >= 12
-        for x_shape, k_shape, stride, padding in convs:
-            cout, ks = k_shape[0], k_shape[2]
-            out = [(n + 2 * padding - ks) // stride + 1 for n in x_shape[1:]]
-            layouts = [(x_shape, padding, stride)]
+        for x_shape, k_shape, stride in convs:
+            cout = k_shape[0]
+            out = [(n - 1) // stride + 1 for n in x_shape[1:]]
+            layouts = [(x_shape, stride)]
             if stride == 1:
-                layouts.append(((cout, *out), ks - 1 - padding, 1))
-            for shape, pad, s in layouts:
-                xp = ad._planes(np.zeros(shape, np.float32), pad, s)
+                layouts.append(((cout, *out), 1))
+            for shape, s in layouts:
+                xp = ad._planes(np.zeros(shape, np.float32), s)
                 lo = xp.__array_interface__["data"][0]
-                do = ad._conv_extents(xp.shape, ks, s)[0][0]
-                for _, _, view in ad._sub_plane_views(xp, ks, s, 0, do):
+                do = ad._conv_extents(xp.shape, 3, s)[0][0]
+                for _, _, view in ad._sub_plane_views(xp, 3, s, 0, do):
                     start = view.__array_interface__["data"][0]
                     end = start + sum((n - 1) * st for n, st in zip(view.shape, view.strides))
                     assert lo <= start and end + view.itemsize <= lo + xp.nbytes
@@ -139,10 +139,10 @@ class TestInference:
                                 [rng.normal(size=(16, 16, 16)).astype(np.float32)
                                  for _ in range(2)])
         fields = net.forward_fields(params, seq)
-        assert all(f.parents == () and f.vjp is None for f in fields)
+        assert all(f.node.parents == () and f.vjp is None for f in fields)
         with ad.Tape():
             taped = net.forward_fields(params, seq)
-        assert all(f.parents and f.vjp is not None for f in taped)
+        assert all(f.node.parents and f.vjp is not None for f in taped)
         for f, f_t in zip(fields, taped):
             np.testing.assert_array_equal(f.data, f_t.data)
 
@@ -183,7 +183,7 @@ class TestInference:
         x = np.random.default_rng(13).normal(size=(2, 16, 16, 32)).astype(np.float32)
         with ad.Tape() as tape:
             y = net._conv_block(params, "enc0", ad.constant(x), stride=1)
-        conv = y.parents[0]
+        conv = y.node.parents[0]
         assert [n.op for n in tape.nodes] == ["conv3d", "leaky_relu"]
         assert np.shares_memory(y.data, conv.data)
 

@@ -21,7 +21,6 @@ from moco4d.warping import resample_field, warp_series
 from oracles import traced_peak_bytes
 
 VARIANT = NetVariant.B_CONVLSTM
-T_STAR = 20.0
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,7 @@ def test_zero_flow_head_apply_is_identity(phantom, motion_seed):
     corrected, fields = tr.apply(model, moving, config())
     np.testing.assert_array_equal(corrected.data, moving.data)
     assert not any(f.data.any() for f in fields)
-    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn, T_STAR)
+    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn)
     assert report["endpoint_error_no_correction"] > 0.0
     assert report["endpoint_error_voxels"] == report["endpoint_error_no_correction"]
 
@@ -72,8 +71,7 @@ def test_evaluate_motion_condition_is_the_injected_series(phantom):
     # scoring the injected series as the correction reproduces the motion entry
     spec, ifn, truth = phantom
     moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=1))
-    report = ph.evaluate_correction(moving, truth, true_fields, true_fields, spec, ifn,
-                                    T_STAR)
+    report = ph.evaluate_correction(moving, truth, true_fields, true_fields, spec, ifn)
     assert report["motion"] == report["corrected"]
     assert report["motion"] != report["motion_free"]
 
@@ -119,7 +117,7 @@ def test_every_variant_runs_the_job(variant):
     np.testing.assert_array_equal(corrected.data[ref], moving.data[ref])
     assert not fields[ref].data.any()
     assert all(fields[i].data.any() for i in range(moving.frames) if i != ref)
-    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn, T_STAR)
+    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn)
     values = [v for r in report.values() for v in (r.values() if isinstance(r, dict) else [r])]
     assert np.isfinite(values).all()
 
@@ -263,12 +261,12 @@ def test_train_is_bit_deterministic(phantom):
 def test_default_motion_bias_sign_depends_on_seed(phantom):
     spec, ifn, truth = phantom
     tumor = spec.tumor.mask(spec.grid)
-    free = parametric_maps(truth, ifn, T_STAR).ki[tumor].mean()
+    free = parametric_maps(truth, ifn).ki[tumor].mean()
     assert free == pytest.approx(0.0146, rel=1e-6)
     bias = []
     for seed in (0, 1):
         moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=seed))
-        bias.append(parametric_maps(moving, ifn, T_STAR).ki[tumor].mean() - free)
+        bias.append(parametric_maps(moving, ifn).ki[tumor].mean() - free)
     assert bias[0] > 0.0 > bias[1]
 
 
@@ -282,7 +280,7 @@ def test_training_lowers_loss_and_endpoint_error(phantom):
     assert len(losses) == 3
     assert losses[1] < losses[0] and losses[2] < losses[1]
     corrected, fields = tr.apply(model, moving, cfg)
-    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn, T_STAR)
+    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn)
     assert report["endpoint_error_voxels"] < report["endpoint_error_no_correction"]
 
 
@@ -291,7 +289,7 @@ def test_evaluate_rejects_wrong_true_field_count(phantom):
     moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=0))
     for wrong in (true_fields[:-1], true_fields + true_fields[:1]):
         with pytest.raises(DimensionError):
-            ph.evaluate_correction(moving, truth, wrong, wrong, spec, ifn, T_STAR)
+            ph.evaluate_correction(moving, truth, wrong, wrong, spec, ifn)
 
 
 def test_evaluate_rejects_other_frame_timing(phantom):
@@ -303,8 +301,7 @@ def test_evaluate_rejects_other_frame_timing(phantom):
                       FrameSeries(moving.data, mids + 3.0, durations, size),
                       FrameSeries(moving.data, mids, durations * 0.5, size)):
         with pytest.raises(DimensionError):
-            ph.evaluate_correction(corrected, truth, true_fields, true_fields, spec, ifn,
-                                   T_STAR)
+            ph.evaluate_correction(corrected, truth, true_fields, true_fields, spec, ifn)
 
 
 def test_evaluate_rejects_a_phantom_of_another_grid(phantom):
@@ -315,7 +312,7 @@ def test_evaluate_rejects_a_phantom_of_another_grid(phantom):
     assert truth.grid == (16, 16, 32)
     with pytest.raises(DimensionError):
         ph.evaluate_correction(moving, truth, true_fields, true_fields,
-                               ph.PhantomSpec(grid=(16, 16, 16)), ifn, T_STAR)
+                               ph.PhantomSpec(grid=(16, 16, 16)), ifn)
 
 
 def test_apply_windows(phantom):

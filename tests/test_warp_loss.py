@@ -1,7 +1,10 @@
 """Warping, field resampling, and the similarity + smoothness objective."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +256,29 @@ class TestPooledWarp:
         monkeypatch.setattr(pool, "WORKERS", 1)
         for (vol, field), out in zip(cases, got):
             assert np.array_equal(out, ad.warp(vol, field).data)
+
+    def test_import_without_sched_getaffinity(self):
+        # macOS and Windows have no os.sched_getaffinity: the pool sizes
+        # itself from os.cpu_count, and a pooled warp still matches inline
+        script = f"""
+import os
+del os.sched_getaffinity
+import numpy as np
+from moco4d import autodiff as ad, pool
+assert pool.WORKERS >= 1, pool.WORKERS
+rng = np.random.default_rng(37)
+vol = rng.normal(size={self.GRID}).astype(np.float32)
+field = rng.uniform(-3.0, 3.0, size=(3, *{self.GRID})).astype(np.float32)
+got = ad.warp(vol, field).data
+pool.WORKERS = 1
+assert np.array_equal(got, ad.warp(vol, field).data)
+"""
+        src = str(Path(ad.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestWarpSeries:
