@@ -45,7 +45,6 @@ class TestConv3d:
         per_axis = np.array([2.0, 3.0, 2.0])
         assert y.data.shape == (1, 3, 3, 3)
         assert np.array_equal(y.data[0], np.einsum("i,j,l->ijl", per_axis, per_axis, per_axis))
-        assert y.data[0, 1, 1, 1] == 27.0
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_naive_loop_oracle(self, stride):
