@@ -10,20 +10,21 @@ float64 regardless of storage dtype. `forward_diff`, `box_sum` and
 VJP that applies the transposes, and products in the matrices' dtype (float64
 for `box_sum`).
 
+A primitive takes tensors; `add` and `mul` also take a scalar second
+operand, and `warp` takes its volume as an array.
+
 The graph and the values are held apart. The tape, and every parent link,
-hold a `Node`: parents, VJP, name, op, shape and dtype, and only a weak
-reference to the value. The `Tensor` that a primitive returns owns the
-value. A VJP captures the arrays it reads (an operand, or its own output)
-and shapes, dtypes and offsets, nothing else: never a `Tensor` or a list of
-them, which would keep their values alive. So a value that no VJP reads is
-freed as soon as the forward code drops its tensor, while the graph stays
-whole. `leaky_relu` still writes over its input's buffer, so the input's
-node reads the activated values, as its tensor did before.
+hold a `Node`: parents, VJP, name, op, shape and dtype, and no reference to
+the value. The `Tensor` that a primitive returns owns the value. A VJP
+captures the arrays it reads (an operand, or its own output) and shapes,
+dtypes and offsets, nothing else: never a `Tensor` or a list of them, which
+would keep their values alive. So a value that no VJP reads is freed as
+soon as the forward code drops its tensor, while the graph stays whole.
+`leaky_relu` writes over its input's buffer, so the input's tensor holds the
+activated values.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -64,11 +65,10 @@ class Node:
     parent link hold.
 
     Holds the parents (nodes), the VJP, name, op, whether a gradient is
-    needed, and the value's shape and dtype. The value itself is only weakly
-    referenced: it lives while its `Tensor` or some VJP holds it."""
+    needed, and the value's shape and dtype; no reference to the value, which
+    lives while its `Tensor` or some VJP holds it."""
 
-    __slots__ = ("parents", "vjp", "name", "requires_grad", "op", "shape", "dtype",
-                 "_value")
+    __slots__ = ("parents", "vjp", "name", "requires_grad", "op", "shape", "dtype")
 
     def __init__(self, data, parents, vjp, name, requires_grad, op):
         self.parents = parents
@@ -77,16 +77,12 @@ class Node:
         self.requires_grad = requires_grad
         self.op = op
         self.shape, self.dtype = data.shape, data.dtype
-        self._value = weakref.ref(data)
 
     @property
     def data(self):
-        """The value while it lives; once freed, a zero-stride stand-in of
-        the value's shape and dtype (its `nbytes` is the value's)."""
-        value = self._value()
-        if value is None:
-            return np.broadcast_to(np.zeros((), self.dtype), self.shape)
-        return value
+        """A zero-stride stand-in of the value's shape and dtype; its `nbytes`
+        is the value's."""
+        return np.broadcast_to(np.zeros((), self.dtype), self.shape)
 
 
 class Tensor:
@@ -150,10 +146,6 @@ def constant(data):
     return Tensor(np.asarray(data))
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _node(data, parents, vjp, op):
     # outside a tape nothing is differentiated: a result keeps no parents and
     # no VJP, so an inference pass holds no graph
@@ -166,10 +158,8 @@ def _node(data, parents, vjp, op):
 
 def add(a, b):
     if not isinstance(b, Tensor):
-        a = _as_tensor(a)
         c = float(b)
         return _node(a.data + c, [a], lambda g: (g,), "add_scalar")
-    a = _as_tensor(a)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
     return _node(a.data + b.data, [a, b], lambda g: (g, g), "add")
@@ -177,10 +167,8 @@ def add(a, b):
 
 def mul(a, b):
     if not isinstance(b, Tensor):
-        a = _as_tensor(a)
         c = float(b)
         return _node(a.data * c, [a], lambda g: (g * c,), "mul_scalar")
-    a = _as_tensor(a)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
     av, bv = a.data, b.data
@@ -188,7 +176,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    a = _as_tensor(a)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"div: shape mismatch {a.data.shape} vs {b.data.shape}")
     bv = b.data
@@ -201,14 +188,12 @@ def div(a, b):
 
 
 def square(a):
-    a = _as_tensor(a)
     av = a.data
     return _node(av * av, [a], lambda g: (2.0 * g * av,), "square")
 
 
 def sum_all(a):
     """Sum of all entries, accumulated in float64."""
-    a = _as_tensor(a)
     out = np.asarray(a.data.sum(dtype=np.float64))
     shape, dtype = a.data.shape, a.data.dtype
 
@@ -219,7 +204,6 @@ def sum_all(a):
 
 
 def mean_all(a):
-    a = _as_tensor(a)
     n = a.data.size
     out = np.asarray(a.data.sum(dtype=np.float64) / n)
     shape, dtype = a.data.shape, a.data.dtype
@@ -238,7 +222,6 @@ LEAKY_SLOPE = 0.2
 def sigmoid(x):
     # no exp overflows: with e = exp(-|x|) <= 1 the numerator max(e, x >= 0)
     # is 1 for x >= 0, giving 1 / (1 + exp(-x)), and e = exp(x) below
-    x = _as_tensor(x)
     e = np.exp(-np.abs(x.data))
     out = np.maximum(e, x.data >= 0) / (1.0 + e)
 
@@ -249,7 +232,6 @@ def sigmoid(x):
 
 
 def tanh(x):
-    x = _as_tensor(x)
     out = np.tanh(x.data)
 
     def vjp(g):
@@ -265,7 +247,6 @@ def leaky_relu(x):
     reads: in `src/` that is the fresh conv3d output in
     `network._conv_block`, whose VJP does not read its output. The VJP reads
     only the sign of the output, which is the sign of the input."""
-    x = _as_tensor(x)
     out = np.maximum(x.data, LEAKY_SLOPE * x.data, out=x.data)
 
     def vjp(g):
@@ -277,7 +258,6 @@ def leaky_relu(x):
 # -- shape ops -------------------------------------------------------------------
 
 def reshape(x, shape):
-    x = _as_tensor(x)
     shape = tuple(shape)
     in_shape = x.data.shape
 
@@ -290,7 +270,6 @@ def reshape(x, shape):
 def concat_channels(parts):
     """Concatenate along the leading (channel) axis of [C,D,H,W], or of a flat
     [C]."""
-    parts = [_as_tensor(p) for p in parts]
     offs = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def vjp(g):
@@ -301,14 +280,12 @@ def concat_channels(parts):
 
 def stack_frames(parts):
     """Stack same-shape tensors along a new leading axis."""
-    parts = [_as_tensor(p) for p in parts]
     return _node(np.stack([p.data for p in parts], axis=0), parts, lambda g: tuple(g),
                  "stack")
 
 
 def select_frame(x, i):
     """Slice one entry off the leading axis."""
-    x = _as_tensor(x)
     i = int(i)
     shape, dtype = x.data.shape, x.data.dtype
 
@@ -322,8 +299,6 @@ def select_frame(x, i):
 
 def matvec(m, x):
     """y = M @ x for a 2-D weight matrix and 1-D vector."""
-    m = _as_tensor(m)
-    x = _as_tensor(x)
     if m.data.ndim != 2 or x.data.ndim != 1 or m.data.shape[1] != x.data.shape[0]:
         raise DimensionError(f"matvec: {m.data.shape} @ {x.data.shape}")
 
@@ -333,7 +308,7 @@ def matvec(m, x):
 
 # -- 3-D convolution --------------------------------------------------------------
 #
-# Kernels are 3x3x3 (ks = 3) at padding 1, stride s of 1 or 2. One
+# Kernels are 3x3x3 at padding 1, stride s of 1 or 2. One
 # plane-interleaved layout serves the forward pass and both VJPs. The input is
 # padded by 1 once and stored as [D + 2, C, s*s, Hg, Wg]: each z-plane holds
 # every channel, and each channel its s*s in-plane parity sub-planes of Hg x Wg
@@ -342,10 +317,10 @@ def matvec(m, x):
 # so the pair (z-tap, channel) has the one stride P. In-plane tap (j, l) reads
 # sub-plane (j%s, l%s) at the row offset (j//s)*Wg + l//s, and output voxel
 # (h, w) of a plane is row h*Wg + w. So each sub-plane (one at stride 1, four
-# at stride 2) gives one strided [ks*C, rows + its last offset] view, with no
+# at stride 2) gives one strided [3*C, rows + its last offset] view, with no
 # copy, and each of its taps reads the `rows` rows at the tap's offset. The
 # forward pass stacks the kernels of a sub-plane's T taps in M: one
-# [T*C_out, ks*C] x [ks*C, rows + last offset] GEMM per sub-plane, batched over
+# [T*C_out, 3*C] x [3*C, rows + last offset] GEMM per sub-plane, batched over
 # as many output planes as fit their products and sums in _CONV_STACK_BYTES.
 # Each tap's product is that stack shifted by the tap's offset; the products
 # are summed in tap order, and the sum plus the bias is copied into the output.
@@ -392,14 +367,14 @@ def _from_planes(xp, s, spatial):
     return x
 
 
-def _conv_extents(xp_shape, ks, s):
+def _conv_extents(xp_shape, s):
     """Output extents (Do, Ho, Wo) and row count of a conv on a plane layout.
 
-    For s in (1, 2) and ks = 3, (Hp - ks)//s + 1 over the padded extent Hp
-    equals Hg - (ks - 1)//s over its sub-plane extent Hg = ceil(Hp / s),
-    whichever parity Hp has; so too for W."""
+    For s in (1, 2), (Hp - 3)//s + 1 over the padded extent Hp equals
+    Hg - 2//s over its sub-plane extent Hg = ceil(Hp / s), whichever parity
+    Hp has; so too for W."""
     dp, _, _, hg, wg = xp_shape
-    do, ho, wo = (dp - ks) // s + 1, hg - (ks - 1) // s, wg - (ks - 1) // s
+    do, ho, wo = (dp - 3) // s + 1, hg - 2 // s, wg - 2 // s
     return (do, ho, wo), (ho - 1) * wg + wo
 
 
@@ -408,37 +383,37 @@ def _plane_batches(do, n):
         yield z0, min(z0 + n, do)
 
 
-def _tap_groups(ks, s, wg):
+def _tap_groups(s, wg):
     """Per in-plane parity sub-plane: its index, its in-plane taps
-    n = j*ks + l in order, and their row offsets (rising)."""
+    n = j*3 + l in order, and their row offsets (rising)."""
     for a in range(s):
         for b in range(s):
-            taps = [j * ks + l for j in range(a, ks, s) for l in range(b, ks, s)]
-            yield a * s + b, taps, [(n // ks // s) * wg + n % ks // s for n in taps]
+            taps = [j * 3 + l for j in range(a, 3, s) for l in range(b, 3, s)]
+            yield a * s + b, taps, [(n // 3 // s) * wg + n % 3 // s for n in taps]
 
 
-def _sub_plane_views(xp, ks, s, z0, z1):
+def _sub_plane_views(xp, s, z0, z1):
     """Per sub-plane: its taps, their row offsets and the no-copy
-    [z1 - z0, ks*C, rows + last offset] view of output planes z0..z1-1, whose
+    [z1 - z0, 3*C, rows + last offset] view of output planes z0..z1-1, whose
     entry [z, i*C + c, r] is row r of the sub-plane in input plane
     (z0 + z)*s + i, channel c. Tap n's operand is the slice [..., o:o + rows]
     at its offset o."""
     _, c, _, hg, wg = xp.shape
-    _, rows = _conv_extents(xp.shape, ks, s)
+    _, rows = _conv_extents(xp.shape, s)
     q, p = hg * wg, s * s * hg * wg
     flat, item = xp.reshape(-1), xp.itemsize
-    for sub, taps, offs in _tap_groups(ks, s, wg):
+    for sub, taps, offs in _tap_groups(s, wg):
         yield taps, offs, np.lib.stride_tricks.as_strided(
-            flat[z0 * s * c * p + sub * q:], (z1 - z0, ks * c, rows + offs[-1]),
+            flat[z0 * s * c * p + sub * q:], (z1 - z0, 3 * c, rows + offs[-1]),
             (s * c * p * item, p * item, item))
 
 
 def _in_plane_taps(k, dtype):
-    """[C_out, C_in, ks, ks, ks] -> per in-plane tap (j, l) the [C_out, ks*C_in]
+    """[C_out, C_in, 3, 3, 3] -> per in-plane tap (j, l) the [C_out, 3*C_in]
     matrix whose column i*C_in + c is k[:, c, i, j, l]."""
-    cout, cin, ks = k.shape[:3]
+    cout, cin = k.shape[:2]
     return np.ascontiguousarray(k.transpose(3, 4, 0, 2, 1), dtype=dtype).reshape(
-        ks * ks, cout, ks * cin)
+        9, cout, 3 * cin)
 
 
 def _correlate(xp, k, s, b):
@@ -447,11 +422,11 @@ def _correlate(xp, k, s, b):
     its tap kernels stacked in M; each tap's product is a shifted slice of the
     stack, the products are summed in tap order, and the sum plus b is copied
     out."""
-    cout, _, ks = k.shape[:3]
+    cout = k.shape[0]
     kt = _in_plane_taps(k, xp.dtype)
-    (do, ho, wo), rows = _conv_extents(xp.shape, ks, s)
+    (do, ho, wo), rows = _conv_extents(xp.shape, s)
     wg = xp.shape[-1]
-    groups = list(_tap_groups(ks, s, wg))
+    groups = list(_tap_groups(s, wg))
     plane = cout * (ho * wg + sum(len(taps) * (rows + offs[-1]) for _, taps, offs in groups))
     zb = min(do, max(1, _CONV_STACK_BYTES // (plane * xp.itemsize)))
     y = np.empty((cout, do, ho, wo), dtype=xp.dtype)
@@ -459,7 +434,7 @@ def _correlate(xp, k, s, b):
     mem = np.empty(zb * plane, dtype=xp.dtype)
     at = zb * cout * ho * wg
     sums = mem[:at].reshape(zb, cout, ho * wg)
-    stacks, prods = [], [None] * (ks * ks)
+    stacks, prods = [], [None] * 9
     for _, taps, offs in groups:
         n = rows + offs[-1]
         st = mem[at:at + zb * len(taps) * cout * n].reshape(zb, len(taps) * cout, n)
@@ -471,7 +446,7 @@ def _correlate(xp, k, s, b):
     for z0, z1 in _plane_batches(do, zb):
         z = z1 - z0
         acc = sums[:z, :, :rows]
-        for (km, st), (_, _, a) in zip(stacks, _sub_plane_views(xp, ks, s, z0, z1)):
+        for (km, st), (_, _, a) in zip(stacks, _sub_plane_views(xp, s, z0, z1)):
             np.matmul(km, a, out=st[:z])
         np.add(prods[0][:z], prods[1][:z], out=acc)
         for p in prods[2:]:
@@ -483,35 +458,35 @@ def _correlate(xp, k, s, b):
 def _kernel_grad(xp, gp, k_shape, s):
     """Gradient in the kernel from the input's plane layout and the output
     gradient gp [Do, C_out, Ho*Wg]: per batch and in-plane tap one batched
-    GEMM [ks*C_in, rows] x [rows, C_out], summed over the batch."""
-    cout, cin, ks = k_shape[:3]
-    _, rows = _conv_extents(xp.shape, ks, s)
-    gk = np.zeros((ks * ks, ks * cin, cout), dtype=gp.dtype)
-    tmp = np.empty((_CONV_PLANES, ks * cin, cout), dtype=gp.dtype)
+    GEMM [3*C_in, rows] x [rows, C_out], summed over the batch."""
+    cout, cin = k_shape[:2]
+    _, rows = _conv_extents(xp.shape, s)
+    gk = np.zeros((9, 3 * cin, cout), dtype=gp.dtype)
+    tmp = np.empty((_CONV_PLANES, 3 * cin, cout), dtype=gp.dtype)
     for z0, z1 in _plane_batches(gp.shape[0], _CONV_PLANES):
         gt, t = gp[z0:z1, :, :rows].transpose(0, 2, 1), tmp[:z1 - z0]
-        for taps, offs, a in _sub_plane_views(xp, ks, s, z0, z1):
+        for taps, offs, a in _sub_plane_views(xp, s, z0, z1):
             for n, o in zip(taps, offs):
                 gk[n] += np.matmul(a[..., o:o + rows], gt, out=t).sum(axis=0)
-    return np.ascontiguousarray(gk.reshape(ks, ks, ks, cin, cout).transpose(4, 3, 2, 0, 1))
+    return np.ascontiguousarray(gk.reshape(3, 3, 3, cin, cout).transpose(4, 3, 2, 0, 1))
 
 
 def _scatter_input_grad(gp, k, xp_shape, s):
     """Adjoint of `_correlate` in its input, as a plane layout: each batched
-    GEMM [ks*C_in, C_out] x [C_out, rows] is added through the tap's slice of
+    GEMM [3*C_in, C_out] x [C_out, rows] is added through the tap's slice of
     its sub-plane view, one z-tap i at a time, since planes s*z + i are
     distinct within a batch only for one i."""
-    cin, ks = k.shape[1:3]
+    cin = k.shape[1]
     kt = _in_plane_taps(k, gp.dtype).transpose(0, 2, 1).copy()
-    _, rows = _conv_extents(xp_shape, ks, s)
+    _, rows = _conv_extents(xp_shape, s)
     gxp = np.zeros(xp_shape, dtype=gp.dtype)
-    tmp = np.empty((_CONV_PLANES, ks * cin, rows), dtype=gp.dtype)
+    tmp = np.empty((_CONV_PLANES, 3 * cin, rows), dtype=gp.dtype)
     for z0, z1 in _plane_batches(gp.shape[0], _CONV_PLANES):
         g, t = gp[z0:z1, :, :rows], tmp[:z1 - z0]
-        for taps, offs, a in _sub_plane_views(gxp, ks, s, z0, z1):
+        for taps, offs, a in _sub_plane_views(gxp, s, z0, z1):
             for n, o in zip(taps, offs):
                 np.matmul(kt[n], g, out=t)
-                for lo in range(0, ks * cin, cin):
+                for lo in range(0, 3 * cin, cin):
                     a[:, lo:lo + cin, o:o + rows] += t[:, lo:lo + cin]
     return gxp
 
@@ -528,15 +503,17 @@ def conv3d(x, kernels, bias, stride=1):
     z-taps and channels. The forward pass runs one GEMM per sub-plane and
     batch of output planes, with the sub-plane's tap kernels stacked in M, and
     sums the taps' shifted products in tap order. The output is C-ordered. The
-    VJP copies the output gradient once into a fixed [Do, C_out, Ho, Wg]
-    layout, which the kernel and bias gradients read, so no gradient's bits
-    depend on the incoming gradient's memory layout. At stride 1 the input
-    gradient is the forward kernel run on the output gradient, with the
-    flipped, channel-transposed kernel, again at padding 1; at stride 2 it is
-    a scatter through each tap's slice of its sub-plane view. The input and
-    kernel gradients are only computed for operands that require a gradient.
+    VJP copies the output gradient once, zero-padded by 1, into a fixed
+    [Do + 2, C_out, 1, Ho + 2, Wg] buffer on the input's row pitch Wg, so no
+    gradient's bits depend on the incoming gradient's memory layout. The
+    kernel and bias gradients read its interior rows as [Do, C_out, Ho*Wg].
+    At stride 1 the buffer is the output gradient's plane layout, and the
+    input gradient is the forward kernel run on it with the flipped,
+    channel-transposed kernel; at stride 2 the input gradient is a scatter of
+    the interior rows through each tap's slice of its sub-plane view. The
+    input and kernel gradients are only computed for operands that require a
+    gradient.
     """
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     k = kernels.data
     if x.data.ndim != 4 or k.ndim != 5:
         raise DimensionError(f"conv3d: input ndim {x.data.ndim}, kernel ndim {k.ndim}")
@@ -561,13 +538,14 @@ def conv3d(x, kernels, bias, stride=1):
 
     def vjp(g):
         cout, do, ho, wo = g.shape
-        gp = np.zeros((do, cout, ho, wg), dtype=g.dtype)
-        gp[..., :wo] = g.transpose(1, 0, 2, 3)
-        gp = gp.reshape(do, cout, ho * wg)
+        # rows w >= Wo of gp read the zero padding
+        gpad = np.zeros((do + 2, cout, 1, ho + 2, wg), dtype=g.dtype)
+        gpad[1:-1, :, 0, 1:-1, 1:wo + 1] = g.transpose(1, 0, 2, 3)
+        gp = gpad.reshape(do + 2, cout, -1)[1:-1, :, wg + 1:wg + 1 + ho * wg]
         gx = gk = gb = None
         if kv is not None and stride == 1:
             flipped = kv.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-            gx = _correlate(_planes(g, 1), flipped, 1, 0.0)
+            gx = _correlate(gpad, flipped, 1, 0.0)
         elif kv is not None:
             gx = _from_planes(_scatter_input_grad(gp, kv, xp_shape, stride), stride,
                               x_spatial)
@@ -600,7 +578,6 @@ def _along(x, a, axis):
 
 def _separable(x, mats, op):
     """Tape node for the linear map that applies `mats` ({axis: matrix})."""
-    x = _as_tensor(x)
     dtype = x.data.dtype
 
     def apply(y, transpose):
@@ -613,7 +590,6 @@ def _separable(x, mats, op):
 
 def forward_diff(x, axis):
     """Forward difference along `axis`, zero at the far boundary."""
-    x = _as_tensor(x)
     n = x.data.shape[axis]
     d = np.eye(n, k=1, dtype=x.data.dtype) - np.eye(n, dtype=x.data.dtype)
     d[-1] = 0.0
@@ -624,7 +600,6 @@ def box_sum(x, window):
     """Sum over a centered cubic window (zero padding); self-adjoint.
 
     The band matrices are float64, so the sums accumulate in float64."""
-    x = _as_tensor(x)
     if window % 2 != 1 or window < 1:
         raise DimensionError(f"box_sum: window must be odd positive, got {window}")
     if any(window > s for s in x.data.shape):
@@ -655,7 +630,6 @@ def interp_resize(x, out_spatial):
     so constants are preserved exactly and interior values are exact on
     linear ramps.
     """
-    x = _as_tensor(x)
     shape = x.data.shape
     mats = {axis: _resize_matrix(int(n), shape[axis], x.data.dtype)
             for axis, n in zip(range(len(shape) - 3, len(shape)), out_spatial)
@@ -739,30 +713,25 @@ def _warp_taps(field, zs, f, i):
 def warp(volume, field):
     """Trilinear pull-warp: out(v) = volume(v + field(v)); outside reads 0.
 
-    `volume` is [D, H, W], or [C, D, H, W] with every channel warped by the
-    same field; `field` is [3, D, H, W] (displacements in voxels of the
-    volume's own grid) and must be finite. Differentiable in the field only,
-    whose gradient sums over channels; a volume that requires a gradient is
-    rejected.
+    `volume` is an array, [D, H, W] or [C, D, H, W] with every channel
+    warped by the same field; `field` is a [3, D, H, W] tensor
+    (displacements in voxels of the volume's own grid) and must be finite.
+    The node's one parent is the field, whose gradient sums over channels.
 
     On a grid of at least `pool.POOLED_MIN_VOXELS` voxels the forward pass
     and the field VJP run their z-slabs on the pool, in larger slabs; the
     result is the same, bit for bit, as from the serial loop.
     """
-    volume, field = _as_tensor(volume), _as_tensor(field)
-    if volume.data.ndim not in (3, 4):
+    if volume.ndim not in (3, 4):
         raise DimensionError(
-            f"warp: volume must be [D,H,W] or [C,D,H,W], got {volume.data.shape}")
-    grid = volume.data.shape[-3:]
+            f"warp: volume must be [D,H,W] or [C,D,H,W], got {volume.shape}")
+    grid = volume.shape[-3:]
     if field.data.shape != (3,) + grid:
         raise DimensionError(
-            f"warp: field shape {field.data.shape} does not match volume {volume.data.shape}")
+            f"warp: field shape {field.data.shape} does not match volume {volume.shape}")
     if not _finite(field.data):
         raise NumericError("warp: non-finite field")
-    if volume.requires_grad:
-        raise ConfigurationError("warp: differentiable in the field only, "
-                                 "the volume must not require a gradient")
-    chans = volume.data.reshape((-1,) + grid)       # [C, D, H, W]
+    chans = volume.reshape((-1,) + grid)            # [C, D, H, W]
     disp = field.data
     nc = len(chans)
     slabs, pooled, voxels = _warp_slabs(grid)
@@ -786,7 +755,7 @@ def warp(volume, field):
 
     def vjp(g):
         # taps and the bordered copy are rebuilt here, not kept alive on the
-        # tape; the node requires a gradient only through the field
+        # tape
         g = g.reshape(chans.shape)
         flat = flat_bordered()
         gfield = np.zeros_like(disp)
@@ -813,7 +782,7 @@ def warp(volume, field):
             np.empty((nc, voxels), chans.dtype),
             np.empty((nc, voxels), np.result_type(g, chans)), np.empty((nc, voxels)),
             np.empty(voxels), np.empty(voxels, gfield.dtype)), pooled)
-        return None, gfield
+        return (gfield,)
 
     flat = flat_bordered()
     out = np.zeros(chans.shape, dtype=chans.dtype)
@@ -835,7 +804,7 @@ def warp(volume, field):
     pool.run_chunks(slab_forward, slabs, lambda: (
         np.empty((9, voxels)), np.empty((2, voxels), np.int64),
         np.empty((nc, voxels), chans.dtype), np.empty(voxels, chans.dtype)), pooled)
-    return _node(out.reshape(volume.data.shape), [volume, field], vjp, "warp")
+    return _node(out.reshape(volume.shape), [field], vjp, "warp")
 
 
 # -- backward pass --------------------------------------------------------------------

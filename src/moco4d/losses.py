@@ -33,7 +33,6 @@ def local_ncc_map(a, b, cfg: LossConfig):
     Windows are zero-padded with a fixed window count, so near-boundary
     windows include virtual zeros.
     """
-    a, b = ad._as_tensor(a), ad._as_tensor(b)
     if a.shape != b.shape:
         raise DimensionError(f"local_ncc: shapes {a.shape} vs {b.shape}")
     if any(cfg.ncc_window > s for s in a.shape):
@@ -68,7 +67,6 @@ def smoothness(field):
     The far boundary difference is zero; the normalization is the total
     number of voxel sites times the nine component-derivatives.
     """
-    field = ad._as_tensor(field)
     if field.shape[0] != 3 or len(field.shape) != 4:
         raise DimensionError(f"smoothness: field must be [3,D,H,W], got {field.shape}")
     nvox = int(np.prod(field.shape[1:]))

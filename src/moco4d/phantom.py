@@ -138,8 +138,6 @@ def simulate_frames(spec: PhantomSpec, ifn: InputFunction, mid_times, durations)
     noise is the one `train.preprocess` adds above CUTOFF to the frames the
     network sees."""
     mid_times = np.asarray(mid_times, dtype=np.float64)
-    if not np.all(np.diff(mid_times) > 0):
-        raise DimensionError("frame times must be increasing")
     ki, vb, _body = spec.kinetic_maps()
     frames = [(ki * cumulative_input(ifn, t) + vb * ifn.at(t)).astype(np.float32)
               for t in mid_times]
@@ -207,7 +205,7 @@ def inject_motion(series: FrameSeries, motion: MotionSpec):
     true_fields = []
     for t in range(series.frames):
         fld = np.zeros((3, *grid)) if t == motion.reference_index else _motion_field(grid, rng)
-        true_fields.append(DisplacementField(fld.astype(np.float32), series.voxel_size_mm))
+        true_fields.append(DisplacementField(fld.astype(np.float32)))
     return warp_series(series, true_fields), true_fields
 
 
@@ -230,7 +228,7 @@ def endpoint_error(est_fields, true_fields):
         if est.data.any():
             # sample the true field at the correction's landing points; the
             # sample positions are float64 whatever the field's dtype
-            resid = ad.warp(resid, est.data).data
+            resid = ad.warp(resid, ad.constant(est.data)).data
             resid += est.data
         mag = np.sqrt(np.square(resid, out=resid).sum(axis=0))
         total += float(mag.sum())
@@ -284,5 +282,5 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
     report["endpoint_error_voxels"] = endpoint_error(est_fields, true_fields)
     zero = np.zeros_like(true_fields[0].data)     # read only, shared by every frame
     report["endpoint_error_no_correction"] = endpoint_error(
-        [DisplacementField(zero, f.spacing_mm) for f in true_fields], true_fields)
+        [DisplacementField(zero) for _ in true_fields], true_fields)
     return report

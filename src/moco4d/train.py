@@ -222,14 +222,13 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     net_frames, work_shape = _working_series(series, cfg, rng)
     ref = net_frames[cfg.reference_index]
-    spacing = tuple(np.asarray(series.voxel_size_mm) * cfg.downsample_factor)
 
     # windows of window_len from frame 0 on, the last one moved back to end at
     # the last frame; a frame takes the field of the first window it is in
     window_len = _window_length(model.variant)
     last_start = max(series.frames - window_len, 0)
     fields = {cfg.reference_index: DisplacementField(
-        np.zeros((3, *series.grid), dtype=series.data.dtype), series.voxel_size_mm)}
+        np.zeros((3, *series.grid), dtype=series.data.dtype))}
     for start in range(0, series.frames, window_len):
         window = range(min(start, last_start), min(start + window_len, series.frames))
         if all(i in fields for i in window):
@@ -238,7 +237,7 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
             model, FramePairSequence(ref, [net_frames[i] for i in window]))
         for i, fld in zip(window, est):
             if i not in fields:
-                df = DisplacementField(crop_to(fld, (3,) + tuple(work_shape)), spacing)
+                df = DisplacementField(crop_to(fld, (3,) + tuple(work_shape)))
                 fields[i] = (resample_field(df, cfg.downsample_factor)
                              if cfg.downsample_factor > 1 else df)
 

@@ -15,7 +15,6 @@ class DisplacementField:
     """Per-voxel 3-vector displacements in voxels of the field's own grid."""
 
     data: np.ndarray  # [3, D, H, W]
-    spacing_mm: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
@@ -38,18 +37,17 @@ def warp_series(series, fields):
     data = np.array(series.data, copy=True)
     for frame, fld in zip(data, fields):
         if fld.data.any():
-            frame[...] = ad.warp(frame, fld.data).data
+            frame[...] = ad.warp(frame, ad.constant(fld.data)).data
     return series.with_data(data)
 
 
 def resample_field(field: DisplacementField, factor: int) -> DisplacementField:
     """Trilinear upsampling of a field by `factor` on every axis, from the
     working grid back to a finer one: extents and displacement values (in
-    voxels) multiply by `factor`, the spacing divides by it.
+    voxels) multiply by `factor`.
     """
     if factor < 2:
         raise DimensionError(f"resample_field: factor must be >= 2, got {factor}")
     target = tuple(n * factor for n in field.grid)
-    new_spacing = tuple(s / factor for s in field.spacing_mm)
     out = ad.interp_resize(ad.constant(field.data), target).data * float(factor)
-    return DisplacementField(out.astype(field.data.dtype, copy=False), new_spacing)
+    return DisplacementField(out.astype(field.data.dtype, copy=False))

@@ -134,9 +134,9 @@ def make_gradcheck_instance(extents=(16, 16, 32), frames=5, seed=12345,
     ref = rng.normal(size=extents) + 1.0
     movs = []
     for _ in range(frames):
-        fld = np.stack([ad.box_sum(rng.normal(size=extents), 3).data / 27.0
+        fld = np.stack([ad.box_sum(ad.constant(rng.normal(size=extents)), 3).data / 27.0
                         for _ in range(3)]) * 1.5
-        movs.append(ad.warp(ref, fld).data + rng.normal(scale=0.02, size=extents))
+        movs.append(ad.warp(ref, ad.constant(fld)).data + rng.normal(scale=0.02, size=extents))
     seq = net.FramePairSequence(ref, movs)
     cfg = LossConfig(lam=1.0, ncc_window=9, ncc_epsilon=1e-3)
     return params, seq, cfg
@@ -149,7 +149,7 @@ def window_loss_fn(params, seq, cfg):
 
     def f(_params):
         fields = net.forward_fields(params, seq)
-        warped = [ad.warp(ad.constant(m), fl) for m, fl in zip(movs, fields)]
+        warped = [ad.warp(m, fl) for m, fl in zip(movs, fields)]
         return loss_terms(ref, warped, fields, cfg)[0]
 
     return f

@@ -13,6 +13,10 @@ dataclass field with a default) must be set by some call in `src/moco4d` or
 that only tests set is a module constant, unless SET_BY_TESTS_ONLY names it
 with its reason.
 
+No module of `src/moco4d` loads an underscore-prefixed attribute of another
+`moco4d` module or imports such a name from one: each module keeps its own
+decisions.
+
 `python tests/test_layout.py` prints each settable value with the number of
 calls that set it from `src/moco4d` plus `moco4d_bench` and from `tests/`,
 and the number of settable values.
@@ -67,6 +71,38 @@ def _loads(tree):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
+
+
+def _is_private(name):
+    return name.startswith("_") and not _is_dunder(name)
+
+
+def _private_reaches(tree):
+    """(line, name) of each underscore-prefixed name that a module imports
+    from another `moco4d` module, or loads as an attribute of one."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "moco4d"
+                                                 or node.module.startswith("moco4d.")):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    yield node.lineno, alias.name
+                elif node.module in (None, "moco4d"):     # `from . import autodiff as ad`
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("moco4d."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in modules
+                and _is_private(node.attr)):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    found = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in _private_reaches(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"private names of another moco4d module: {found}"
 
 
 def test_every_package_definition_is_reached_outside_tests():

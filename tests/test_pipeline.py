@@ -3,6 +3,7 @@ simulate -> inject motion -> train -> apply -> evaluate, B-ConvLSTM; and
 every variant once end to end on a smaller phantom."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -198,20 +199,28 @@ def taped_step(model):
     return tape, loss
 
 
-def test_the_tape_keeps_only_the_values_a_vjp_reads():
+def test_the_tape_keeps_only_the_values_a_vjp_reads(monkeypatch):
     # resized decoder features feed only concat, and the loss's squares,
     # products and sums feed only sums, adds and box sums: no VJP reads them,
     # so they are freed once the forward pass drops them; every value below
     # is read by its own VJP or by its consumer's
+    values, original = {}, ad._node
+
+    def recording(data, parents, vjp, op):
+        out = original(data, parents, vjp, op)
+        values[out.node] = weakref.ref(out.data)
+        return out
+
+    monkeypatch.setattr(ad, "_node", recording)
     tape, _loss = taped_step(make_model())
     by_op = {}
     for node in tape.nodes:
         by_op.setdefault(node.op, []).append(node)
     for op in ("interp_resize", "square", "mul", "sum"):
-        assert all(n._value() is None for n in by_op[op]), op
+        assert all(values[n]() is None for n in by_op[op]), op
     for op in ("concat", "leaky_relu", "stack", "sigmoid", "tanh", "forward_diff"):
-        assert all(n._value() is not None for n in by_op[op]), op
-    # a freed value reads as a zero-stride stand-in of its full size
+        assert all(values[n]() is not None for n in by_op[op]), op
+    # a node's value reads as a zero-stride stand-in of its full size
     for node in by_op["interp_resize"]:
         data = node.data
         assert data.shape == node.shape and data.dtype == node.dtype == np.float32
@@ -354,13 +363,19 @@ def test_apply_on_a_downsampled_grid():
             continue
         np.testing.assert_array_equal(fields[i].data, want)
         np.testing.assert_array_equal(corrected.data[i],
-                                      ad.warp(moving.data[i], fields[i].data).data)
+                                      ad.warp(moving.data[i], ad.constant(fields[i].data)).data)
 
     b.data[:] = 0.0
     corrected, _ = tr.apply(model, moving, cfg)
     np.testing.assert_array_equal(corrected.data, moving.data)
     with pytest.raises(DimensionError):
         tr.apply(model, moving, tr.TrainConfig(downsample_factor=3))
+
+
+def test_simulate_frames_rejects_decreasing_mid_times():
+    mids, durations = ph.default_frame_times(n_frames=3)
+    with pytest.raises(DimensionError):
+        ph.simulate_frames(ph.PhantomSpec(), ph.sample_input_function(), mids[::-1], durations)
 
 
 def test_motion_rejects_negative_reference_index():
