@@ -32,9 +32,10 @@ class TrainConfig:
 
     The network sees the series mean-pooled by `downsample_factor`, with
     voxels above CUTOFF replaced by CUTOFF plus Gaussian noise of NOISE_SIGMA,
-    in windows of WINDOW_LENGTH frames (1 for pairwise) registered to frame
-    `reference_index`, and learns the LOSS objective with Adam (ADAM_BETA1,
-    ADAM_BETA2, ADAM_EPS). `seed` drives that noise and the window order."""
+    registered to frame `reference_index`. `train` learns the LOSS objective
+    with Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) on windows of WINDOW_LENGTH
+    frames (1 for pairwise); `apply` runs the whole series at once. `seed`
+    drives that noise and the window order."""
 
     learning_rate: float = 1e-4
     epochs: int = 1
@@ -123,18 +124,11 @@ def crop_to(vol, shape):
     return vol[tuple(slice(0, s) for s in shape)]
 
 
-def _window_length(variant: NetVariant):
-    """Frames per window: 1 for pairwise, WINDOW_LENGTH otherwise."""
-    return 1 if variant == NetVariant.PAIRWISE else WINDOW_LENGTH
-
-
 def make_windows(frames, cfg: TrainConfig, length):
     """All consecutive windows of `length` over the frames [T, ...], each
     paired with the fixed reference frame; the reference frame may itself
     appear as a moving frame.
     """
-    if cfg.reference_index >= len(frames):
-        raise ConfigurationError(f"reference index {cfg.reference_index} out of range")
     if len(frames) < length:
         raise ConfigurationError(f"{len(frames)} frames < window length {length}")
     ref = frames[cfg.reference_index]
@@ -145,7 +139,11 @@ def make_windows(frames, cfg: TrainConfig, length):
 def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
     """Downsample, pad to the network granularity, and preprocess each frame.
 
-    Returns (net_frames [T,...], working_shape_before_pad)."""
+    Returns (net_frames [T,...], working_shape_before_pad). Raises
+    ConfigurationError when `cfg.reference_index` is not a frame of the series."""
+    if cfg.reference_index >= series.frames:
+        raise ConfigurationError(
+            f"reference index {cfg.reference_index} out of range for {series.frames} frames")
     worked = []
     shape = None
     for t in range(series.frames):
@@ -183,7 +181,7 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
         raise ConfigurationError(f"model is {model.variant.value}, requested {variant.value}")
     rng = np.random.default_rng(cfg.seed)
 
-    length = _window_length(variant)
+    length = 1 if variant == NetVariant.PAIRWISE else WINDOW_LENGTH
     all_windows = []
     for series in series_list:
         net_frames, _shape = _working_series(series, cfg, rng)
@@ -214,32 +212,23 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
     """Estimate at working resolution, upsample the fields, warp the original
     frames; the reference frame passes through unmodified.
 
+    One network pass runs over every frame in order, the reference included as
+    a moving frame (the first, at `reference_index` 0, as in training's first
+    window); the reference's field is then dropped for a zero field.
+
     Returns (corrected FrameSeries, list of full-resolution DisplacementField,
     one per frame; the reference frame's field is zero)."""
-    if cfg.reference_index >= series.frames:
-        raise ConfigurationError(
-            f"reference index {cfg.reference_index} out of range for {series.frames} frames")
     rng = np.random.default_rng(cfg.seed)
     net_frames, work_shape = _working_series(series, cfg, rng)
-    ref = net_frames[cfg.reference_index]
-
-    # windows of window_len from frame 0 on, the last one moved back to end at
-    # the last frame; a frame takes the field of the first window it is in
-    window_len = _window_length(model.variant)
-    last_start = max(series.frames - window_len, 0)
-    fields = {cfg.reference_index: DisplacementField(
-        np.zeros((3, *series.grid), dtype=series.data.dtype))}
-    for start in range(0, series.frames, window_len):
-        window = range(min(start, last_start), min(start + window_len, series.frames))
-        if all(i in fields for i in window):
-            continue            # pairwise: the reference frame's own window
-        est = net.estimate_displacements(
-            model, FramePairSequence(ref, [net_frames[i] for i in window]))
-        for i, fld in zip(window, est):
-            if i not in fields:
-                df = DisplacementField(crop_to(fld, (3,) + tuple(work_shape)))
-                fields[i] = (resample_field(df, cfg.downsample_factor)
-                             if cfg.downsample_factor > 1 else df)
-
-    fields = [fields[i] for i in range(series.frames)]
+    est = net.estimate_displacements(
+        model, FramePairSequence(net_frames[cfg.reference_index], list(net_frames)))
+    fields = []
+    for i, fld in enumerate(est):
+        if i == cfg.reference_index:
+            df = DisplacementField(np.zeros((3, *series.grid), dtype=series.data.dtype))
+        else:
+            df = DisplacementField(crop_to(fld, (3,) + tuple(work_shape)))
+            if cfg.downsample_factor > 1:
+                df = resample_field(df, cfg.downsample_factor)
+        fields.append(df)
     return warp_series(series, fields), fields

@@ -153,22 +153,66 @@ def test_apply_upsamples_no_field_for_the_reference(monkeypatch):
     assert len(fields) == truth.frames and not fields[0].data.any()
 
 
-def test_pairwise_apply_runs_no_window_for_the_reference(phantom, monkeypatch):
-    # the reference frame's own window would only give a field that apply
-    # discards
-    _spec, _ifn, truth = phantom
-    calls = []
-    estimate = net.estimate_displacements
+def counted_estimates(monkeypatch):
+    """Record the moving-frame count of every `estimate_displacements` call."""
+    calls, estimate = [], net.estimate_displacements
 
     def counted(model, seq):
         calls.append(len(seq))
         return estimate(model, seq)
 
     monkeypatch.setattr(net, "estimate_displacements", counted)
-    model = net.init_net_params(NetVariant.PAIRWISE, np.random.default_rng(1))
-    _corrected, fields = tr.apply(model, truth, config())
-    assert calls == [1] * (truth.frames - 1)
-    assert not fields[0].data.any() and all(f.data.any() for f in fields[1:])
+    return calls
+
+
+@pytest.mark.parametrize("variant", list(NetVariant))
+def test_apply_runs_one_pass_over_every_frame(phantom, monkeypatch, variant):
+    # one network pass over all 8 working frames, the reference first; each
+    # moving frame keeps that pass's field bit for bit, the reference a zero one
+    _spec, _ifn, truth = phantom
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    cfg = config()
+    model = net.init_net_params(variant, np.random.default_rng(1), extents=truth.grid)
+    net_frames, _shape = tr._working_series(moving, cfg, np.random.default_rng(cfg.seed))
+    ref = net_frames[cfg.reference_index]
+    whole = net.estimate_displacements(model, FramePairSequence(ref, list(net_frames)))
+    if variant in (NetVariant.B_CONVLSTM, NetVariant.S_CONVLSTM, NetVariant.B_LSTM):
+        # the state runs from frame 0: a window from frame 3 gives frame 7 another field
+        tail = net.estimate_displacements(model, FramePairSequence(ref, list(net_frames[3:])))
+        assert not np.array_equal(tail[-1], whole[-1])
+    calls = counted_estimates(monkeypatch)
+    _corrected, fields = tr.apply(model, moving, cfg)
+    assert calls == [moving.frames]
+    assert not fields[0].data.any()
+    for f, w in zip(fields[1:], whole[1:]):
+        np.testing.assert_array_equal(f.data, w)
+
+
+@pytest.mark.parametrize("variant", [NetVariant.PAIRWISE, NetVariant.MULTI_FRAME])
+def test_frame_wise_variants_apply_one_frame_fields(phantom, variant):
+    # pairwise and multi-frame mix no frames, so each frame's field is the
+    # one it gets registered alone, however apply groups the frames
+    _spec, _ifn, truth = phantom
+    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    cfg = config()
+    model = net.init_net_params(variant, np.random.default_rng(1))
+    _corrected, fields = tr.apply(model, moving, cfg)
+    net_frames, _shape = tr._working_series(moving, cfg, np.random.default_rng(cfg.seed))
+    ref = net_frames[cfg.reference_index]
+    for frame, f in zip(net_frames[1:], fields[1:]):
+        alone = net.estimate_displacements(model, FramePairSequence(ref, [frame]))
+        np.testing.assert_array_equal(f.data, alone[0])
+
+
+def test_apply_returns_a_one_frame_series_unchanged(phantom):
+    # the lone frame is the reference: bit-exact, with one zero field
+    _spec, _ifn, truth = phantom
+    one = FrameSeries(truth.data[:1], truth.mid_times[:1], truth.durations[:1],
+                      truth.voxel_size_mm)
+    corrected, fields = tr.apply(make_model(), one, config())
+    assert corrected.data.tobytes() == one.data.tobytes()
+    [field] = fields
+    assert field.data.shape == (3, *one.grid) and not field.data.any()
 
 
 def test_train_frees_each_step_before_the_next(phantom):
@@ -324,26 +368,6 @@ def test_evaluate_rejects_a_phantom_of_another_grid(phantom):
                                ph.PhantomSpec(grid=(16, 16, 16)), ifn)
 
 
-def test_apply_windows(phantom):
-    # 8 frames in windows of 5: frames 1-4 take the fields of window 0-4, and
-    # frames 5-7 those of the tail window 3-7
-    _spec, _ifn, truth = phantom
-    moving, _ = ph.inject_motion(truth, ph.MotionSpec(seed=1))
-    assert moving.frames == 8 and tr.WINDOW_LENGTH == 5
-    model, cfg = make_model(), config()
-    _corrected, fields = tr.apply(model, moving, cfg)
-    net_frames, _shape = tr._working_series(moving, cfg, np.random.default_rng(cfg.seed))
-    ref = net_frames[cfg.reference_index]
-    windows = [FramePairSequence(ref, list(net_frames[a:a + 5])) for a in (0, 3)]
-    head, tail = [net.estimate_displacements(model, w) for w in windows]
-    # the B-ConvLSTM is order-sensitive: frame 3 gets another field in the tail window
-    assert not np.array_equal(head[3], tail[0])
-    for i in range(1, 5):
-        np.testing.assert_array_equal(fields[i].data, head[i])
-    for i in range(5, 8):
-        np.testing.assert_array_equal(fields[i].data, tail[i - 3])
-
-
 def test_apply_on_a_downsampled_grid():
     # working grid 16x16x24, padded to 16x16x32 for the U-Net, cropped back
     # and upsampled to 32x32x48
@@ -391,8 +415,14 @@ def test_inject_motion_rejects_reference_index_past_last_frame(phantom):
 
 def test_apply_rejects_reference_index_past_last_frame(phantom):
     _spec, _ifn, truth = phantom
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="out of range for 8 frames"):
         tr.apply(make_model(), truth, config(reference_index=truth.frames))
+
+
+def test_train_rejects_reference_index_past_last_frame(phantom):
+    _spec, _ifn, truth = phantom
+    with pytest.raises(ConfigurationError, match="out of range for 8 frames"):
+        tr.train(make_model(), VARIANT, [truth], config(reference_index=truth.frames))
 
 
 def test_train_rejects_no_windows():
