@@ -153,18 +153,6 @@ def test_apply_upsamples_no_field_for_the_reference(monkeypatch):
     assert len(fields) == truth.frames and not fields[0].data.any()
 
 
-def counted_estimates(monkeypatch):
-    """Record the moving-frame count of every `estimate_displacements` call."""
-    calls, estimate = [], net.estimate_displacements
-
-    def counted(model, seq):
-        calls.append(len(seq))
-        return estimate(model, seq)
-
-    monkeypatch.setattr(net, "estimate_displacements", counted)
-    return calls
-
-
 @pytest.mark.parametrize("variant", list(NetVariant))
 def test_apply_runs_one_pass_over_every_frame(phantom, monkeypatch, variant):
     # one network pass over all 8 working frames, the reference first; each
@@ -180,7 +168,13 @@ def test_apply_runs_one_pass_over_every_frame(phantom, monkeypatch, variant):
         # the state runs from frame 0: a window from frame 3 gives frame 7 another field
         tail = net.estimate_displacements(model, FramePairSequence(ref, list(net_frames[3:])))
         assert not np.array_equal(tail[-1], whole[-1])
-    calls = counted_estimates(monkeypatch)
+    calls, estimate = [], net.estimate_displacements
+
+    def counted(params, seq):
+        calls.append(len(seq))
+        return estimate(params, seq)
+
+    monkeypatch.setattr(net, "estimate_displacements", counted)
     _corrected, fields = tr.apply(model, moving, cfg)
     assert calls == [moving.frames]
     assert not fields[0].data.any()
