@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, require_integers
 from .metrics import global_ncc, nmi, roi_stats
 from .patlak import InputFunction, cumulative_input, parametric_maps
 from .series import FrameSeries
@@ -165,6 +165,7 @@ class MotionSpec:
     reference_index: int = 0
 
     def __post_init__(self):
+        require_integers(self, "seed", "reference_index")
         if self.reference_index < 0:
             raise ConfigurationError("reference_index must be nonnegative")
 

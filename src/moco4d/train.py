@@ -11,13 +11,12 @@ from . import autodiff as ad
 from . import network as net
 from .errors import (ConfigurationError, DimensionError, NumericError, require_finite,
                      require_integers)
-from .losses import LossConfig, loss_terms
+from .losses import loss_terms
 from .network import DOWN_FACTOR, FramePairSequence, NetVariant
 from .series import FrameSeries
 from .warping import DisplacementField, resample_field, warp_series
 
 
-LOSS = LossConfig()        # smoothness weight 1, NCC window 9
 CUTOFF = 2.5               # SUV
 NOISE_SIGMA = 0.01         # SUV, on the voxels above CUTOFF
 WINDOW_LENGTH = 5          # frames per window, except for pairwise
@@ -32,10 +31,10 @@ class TrainConfig:
 
     The network sees the series mean-pooled by `downsample_factor`, with
     voxels above CUTOFF replaced by CUTOFF plus Gaussian noise of NOISE_SIGMA,
-    registered to frame `reference_index`. `train` learns the LOSS objective
-    with Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) on windows of WINDOW_LENGTH
-    frames (1 for pairwise); `apply` runs the whole series at once. `seed`
-    drives that noise and the window order."""
+    registered to frame `reference_index`. `train` minimizes
+    `losses.loss_terms` with Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) on
+    windows of WINDOW_LENGTH frames (1 for pairwise); `apply` runs the whole
+    series at once. `seed` drives that noise and the window order."""
 
     learning_rate: float = 1e-4
     epochs: int = 1
@@ -161,7 +160,7 @@ def _train_step(model, params, seq, adam, lr, step):
         fields = net.forward_fields(model, seq)
         warped = [ad.warp(m, f) for m, f in zip(seq.moving, fields)]
         loss, sim, smooth = loss_terms(ad.constant(np.asarray(seq.reference)),
-                                       warped, fields, LOSS)
+                                       warped, fields)
     if not np.isfinite(loss.data):
         raise NumericError(
             f"non-finite loss at step {step} (similarity={sim}, smoothness={smooth})")

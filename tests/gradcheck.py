@@ -6,7 +6,10 @@ differences are a trustworthy oracle: correlated frames (movings are warped
 copies of the reference), flow values held mid-cell away from the trilinear
 interpolation kinks, and conv biases offset so most leaky-relu pre-activations
 sit on a fixed branch. Coordinates the stencil still cannot resolve are
-handled inside `grad_check`.
+handled inside `grad_check`. `window_loss_fn` scores that instance with the
+constants of `moco4d.losses` as the caller leaves them; the end-to-end
+gradchecks first set NCC_EPSILON to 1e-3, the epsilon their tolerance was
+set with.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import numpy as np
 from moco4d import autodiff as ad
 from moco4d import network as net
 from moco4d.errors import NumericError
-from moco4d.losses import LossConfig, loss_terms
+from moco4d.losses import loss_terms
 
 
 def grad_check(f, params, h=1e-4, samples=200, rng=None, min_grad=0.0,
@@ -137,12 +140,10 @@ def make_gradcheck_instance(extents=(16, 16, 32), frames=5, seed=12345,
         fld = np.stack([ad.box_sum(ad.constant(rng.normal(size=extents)), 3).data / 27.0
                         for _ in range(3)]) * 1.5
         movs.append(ad.warp(ref, ad.constant(fld)).data + rng.normal(scale=0.02, size=extents))
-    seq = net.FramePairSequence(ref, movs)
-    cfg = LossConfig(lam=1.0, ncc_window=9, ncc_epsilon=1e-3)
-    return params, seq, cfg
+    return params, net.FramePairSequence(ref, movs)
 
 
-def window_loss_fn(params, seq, cfg):
+def window_loss_fn(params, seq):
     """Scalar end-to-end objective: estimate fields, warp, score."""
     movs = [np.asarray(m, dtype=np.float64) for m in seq.moving]
     ref = ad.constant(np.asarray(seq.reference, dtype=np.float64))
@@ -150,6 +151,6 @@ def window_loss_fn(params, seq, cfg):
     def f(_params):
         fields = net.forward_fields(params, seq)
         warped = [ad.warp(m, fl) for m, fl in zip(movs, fields)]
-        return loss_terms(ref, warped, fields, cfg)[0]
+        return loss_terms(ref, warped, fields)[0]
 
     return f

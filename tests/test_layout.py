@@ -19,7 +19,9 @@ decisions.
 
 `python tests/test_layout.py` prints each settable value with the number of
 calls that set it from `src/moco4d` plus `moco4d_bench` and from `tests/`,
-and the number of settable values.
+and the number of settable values, which must equal SETTABLE_VALUES: a
+change that adds or removes one updates that constant and ROADMAP aim 2
+together.
 """
 
 import ast
@@ -30,13 +32,10 @@ PACKAGE = ROOT / "src" / "moco4d"
 SCOPE = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "moco4d_bench").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-_LOSS_WINDOW = "tests run the loss on grids smaller than the 9-voxel window"
+SETTABLE_VALUES = 24
 _REFERENCE = "the reference-frame choice of ROADMAP items 4-5"
 # settable values that only tests set, each with its reason
 SET_BY_TESTS_ONLY = {
-    "losses.LossConfig.lam": _LOSS_WINDOW,
-    "losses.LossConfig.ncc_window": _LOSS_WINDOW,
-    "losses.LossConfig.ncc_epsilon": _LOSS_WINDOW,
     "network.init_net_params(extents=)": "only B-LSTM needs it, and no workload runs B-LSTM",
     "network.init_net_params(dtype=)": "the float64 reference of the gradchecks",
     "phantom.MotionSpec.reference_index": _REFERENCE,
@@ -192,6 +191,13 @@ def test_every_settable_value_is_set_somewhere():
     # each exception is a value that tests set and the job does not
     stale = [q for q in SET_BY_TESTS_ONLY if by_scope.get(q, 1) or not by_tests[q]]
     assert not stale, f"SET_BY_TESTS_ONLY entries not set by tests alone: {stale}"
+
+
+def test_settable_value_count_is_pinned():
+    count = len(_setting_calls(SCOPE))
+    assert count == SETTABLE_VALUES, (
+        f"{count} settable values, SETTABLE_VALUES says {SETTABLE_VALUES}: update it "
+        "and ROADMAP aim 2 together")
 
 
 if __name__ == "__main__":

@@ -233,7 +233,7 @@ def taped_step(model):
     with ad.Tape() as tape:
         fields = net.forward_fields(model, seq)
         warped = [ad.warp(m, f) for m, f in zip(seq.moving, fields)]
-        loss, _sim, _smooth = loss_terms(ad.constant(ref), warped, fields, tr.LOSS)
+        loss, _sim, _smooth = loss_terms(ad.constant(ref), warped, fields)
     return tape, loss
 
 
@@ -399,6 +399,15 @@ def test_simulate_frames_rejects_decreasing_mid_times():
 def test_motion_rejects_negative_reference_index():
     with pytest.raises(ConfigurationError):
         ph.MotionSpec(reference_index=-1)
+
+
+@pytest.mark.parametrize("field", ["seed", "reference_index"])
+def test_motion_rejects_non_integer_seed_and_reference_index(field):
+    # a reference index of 0.5 used to pass and leave no frame unmoved
+    for bad in (0.5, True, 1.5):
+        with pytest.raises(ConfigurationError, match=field):
+            ph.MotionSpec(**{field: bad})
+    ph.MotionSpec(**{field: np.int64(1)})
 
 
 def test_inject_motion_rejects_reference_index_past_last_frame(phantom):

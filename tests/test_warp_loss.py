@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from moco4d import autodiff as ad
+from moco4d import losses
 from moco4d import pool
-from moco4d.errors import ConfigurationError, DimensionError, NumericError
-from moco4d.losses import LossConfig, local_ncc, local_ncc_map, loss_terms, smoothness
+from moco4d.errors import DimensionError, NumericError
+from moco4d.losses import local_ncc, local_ncc_map, loss_terms, smoothness
 from moco4d.phantom import endpoint_error
 from moco4d.series import FrameSeries
 from moco4d.warping import DisplacementField, resample_field, warp_series
@@ -21,7 +22,11 @@ from gradcheck import grad_check
 from oracles import shift_volume, smoothness_naive, warp_trilinear_naive
 from pooled import Submissions, record_pool_thread_calls
 
-CFG3 = LossConfig(lam=1.0, ncc_window=3, ncc_epsilon=1e-5)
+
+@pytest.fixture
+def window3(monkeypatch):
+    """A 3-voxel NCC window, for grids smaller than the job's 9 voxels."""
+    monkeypatch.setattr(losses, "NCC_WINDOW", 3)
 
 
 class TestWarp:
@@ -394,11 +399,12 @@ class TestResampleField:
             resample_field(DisplacementField(np.zeros((3, 4, 4, 4))), 1)
 
 
+@pytest.mark.usefixtures("window3")
 class TestLocalNcc:
     def test_self_similarity_near_one(self):
         rng = np.random.default_rng(3)
         x = ad.constant(rng.normal(size=(8, 8, 8)))
-        v = float(local_ncc(x, x, CFG3).data)
+        v = float(local_ncc(x, x).data)
         assert 1.0 - 1e-3 <= v <= 1.0
 
     def test_affine_invariance_per_window(self):
@@ -406,8 +412,8 @@ class TestLocalNcc:
         # not transform, so the invariance is an interior-window property
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 8, 8))
-        m_self = local_ncc_map(ad.constant(x), ad.constant(x), CFG3).data
-        m_aff = local_ncc_map(ad.constant(x), ad.constant(2.0 * x + 3.0), CFG3).data
+        m_self = local_ncc_map(ad.constant(x), ad.constant(x)).data
+        m_aff = local_ncc_map(ad.constant(x), ad.constant(2.0 * x + 3.0)).data
         np.testing.assert_allclose(m_aff[1:-1, 1:-1, 1:-1],
                                    m_self[1:-1, 1:-1, 1:-1], atol=1e-6)
 
@@ -416,7 +422,7 @@ class TestLocalNcc:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(3, 3, 3))
         b = rng.normal(size=(3, 3, 3))
-        cc = local_ncc_map(ad.constant(a), ad.constant(b), CFG3).data
+        cc = local_ncc_map(ad.constant(a), ad.constant(b)).data
         n = 27.0
         ua, ub = a.sum() / n, b.sum() / n
         cross = ((a - ua) * (b - ub)).sum()
@@ -425,22 +431,41 @@ class TestLocalNcc:
         want = cross ** 2 / (var_a * var_b + 1e-5)
         np.testing.assert_allclose(cc[1, 1, 1], want, rtol=1e-10)
 
-    def test_symmetry(self):
+    def test_symmetry(self, monkeypatch):
+        monkeypatch.setattr(losses, "NCC_WINDOW", 5)
         rng = np.random.default_rng(6)
         a = ad.constant(rng.normal(size=(6, 6, 6)))
         b = ad.constant(rng.normal(size=(6, 6, 6)))
-        cfg = LossConfig(ncc_window=5)
-        assert abs(float(local_ncc(a, b, cfg).data)
-                   - float(local_ncc(b, a, cfg).data)) <= 1e-12
+        assert abs(float(local_ncc(a, b).data) - float(local_ncc(b, a).data)) <= 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            local_ncc(ad.constant(np.zeros((4, 4, 4))), ad.constant(np.zeros((5, 4, 4))), CFG3)
+            local_ncc(ad.constant(np.zeros((4, 4, 4))), ad.constant(np.zeros((5, 4, 4))))
 
-    def test_window_exceeding_extent(self):
+    def test_window_exceeding_extent(self, monkeypatch):
+        monkeypatch.setattr(losses, "NCC_WINDOW", 9)
         with pytest.raises(DimensionError):
             zero = ad.constant(np.zeros((4, 4, 4)))
-            local_ncc(zero, zero, LossConfig(ncc_window=9))
+            local_ncc(zero, zero)
+
+    def test_float32_matches_float64(self, monkeypatch):
+        # the job's window on the paper's working grid: the float32 value and
+        # the gradient in `a` stay within 1e-6 of float64 (5.7e-10 and 2.8e-7
+        # measured on this pair)
+        monkeypatch.setattr(losses, "NCC_WINDOW", 9)
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(32, 32, 64))
+        b = a + 0.5 * rng.normal(size=a.shape)
+        out = {}
+        for dtype in (np.float64, np.float32):
+            with ad.Tape() as tape:
+                v = local_ncc(ad.param("a", a.astype(dtype)), ad.constant(b.astype(dtype)))
+            grad = ad.backward(tape, v)["a"]
+            assert grad.dtype == dtype
+            out[dtype] = float(v.data), grad
+        (v64, g64), (v32, g32) = out[np.float64], out[np.float32]
+        assert abs(v32 - v64) <= 1e-6 * abs(v64)
+        assert np.abs(g32 - g64).max() <= 1e-6 * np.abs(g64).max()
 
 
 class TestSmoothness:
@@ -467,7 +492,13 @@ class TestSmoothness:
         f = rng.normal(size=(3, 4, 4, 4))
         assert float(smoothness(ad.constant(f)).data) > 1e-12
 
+    @pytest.mark.parametrize("shape", [(), (3, 4, 5), (2, 4, 5, 6)])
+    def test_rejects_what_is_not_a_3_channel_volume(self, shape):
+        with pytest.raises(DimensionError, match="smoothness"):
+            smoothness(ad.constant(np.ones(shape)))
 
+
+@pytest.mark.usefixtures("window3")
 class TestTotalLoss:
     def test_identical_frames_zero_fields(self):
         rng = np.random.default_rng(9)
@@ -475,56 +506,56 @@ class TestTotalLoss:
         m = 3
         fields = [ad.constant(np.zeros((3, 8, 8, 8))) for _ in range(m)]
         warped = [ad.constant(ref.copy()) for _ in range(m)]
-        loss = float(loss_terms(ad.constant(ref), warped, fields,
-                                LossConfig(lam=1.0, ncc_window=3))[0].data)
+        loss = float(loss_terms(ad.constant(ref), warped, fields)[0].data)
         assert abs(loss - (-m)) <= m * 1e-3
 
-    def test_lambda_zero_is_pure_similarity(self):
+    def test_lambda_zero_is_pure_similarity(self, monkeypatch):
+        monkeypatch.setattr(losses, "LAMBDA", 0.0)
         rng = np.random.default_rng(10)
         ref = ad.constant(rng.normal(size=(6, 6, 6)))
         mov = ad.constant(rng.normal(size=(6, 6, 6)))
         f = ad.constant(rng.normal(size=(3, 6, 6, 6)))
-        cfg0 = LossConfig(lam=0.0, ncc_window=3)
-        loss = float(loss_terms(ref, [mov], [f], cfg0)[0].data)
-        sim = float(local_ncc(ref, mov, cfg0).data)
+        loss = float(loss_terms(ref, [mov], [f])[0].data)
+        sim = float(local_ncc(ref, mov).data)
         np.testing.assert_allclose(loss, -sim, rtol=1e-12)
 
-    def test_lambda_sweep_hook(self):
+    def test_lambda_sweep_hook(self, monkeypatch):
         rng = np.random.default_rng(11)
         ref = ad.constant(rng.normal(size=(6, 6, 6)))
         mov = ad.constant(rng.normal(size=(6, 6, 6)))
         f = ad.constant(rng.uniform(-1, 1, size=(3, 6, 6, 6)))
         vals = []
         for lam in (0.1, 1.0, 10.0, 100.0):
-            vals.append(float(loss_terms(ref, [mov], [f],
-                                         LossConfig(lam=lam, ncc_window=3))[0].data))
+            monkeypatch.setattr(losses, "LAMBDA", lam)
+            vals.append(float(loss_terms(ref, [mov], [f])[0].data))
         pen = float(smoothness(f).data)
-        sim = float(local_ncc(ref, mov, LossConfig(lam=1.0, ncc_window=3)).data)
+        sim = float(local_ncc(ref, mov).data)
         for lam, v in zip((0.1, 1.0, 10.0, 100.0), vals):
             np.testing.assert_allclose(v, -sim + lam * pen, rtol=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             loss_terms(ad.constant(np.zeros((4, 4, 4))), [ad.constant(np.zeros((4, 4, 4)))],
-                       [], CFG3)
+                       [])
         with pytest.raises(DimensionError):
             loss_terms(ad.constant(np.zeros((4, 4, 4))), [ad.constant(np.zeros((4, 4, 4)))] * 2,
-                       [ad.constant(np.zeros((3, 4, 4, 4)))], CFG3)
+                       [ad.constant(np.zeros((3, 4, 4, 4)))])
 
-    def test_loss_terms_consistent(self):
+    def test_loss_terms_consistent(self, monkeypatch):
+        monkeypatch.setattr(losses, "LAMBDA", 2.0)
         rng = np.random.default_rng(12)
         ref = ad.constant(rng.normal(size=(6, 6, 6)))
         movs = [ad.constant(rng.normal(size=(6, 6, 6))) for _ in range(2)]
         flds = [ad.constant(rng.normal(size=(3, 6, 6, 6))) for _ in range(2)]
-        cfg = LossConfig(lam=2.0, ncc_window=3)
-        loss, sim, smo = loss_terms(ref, movs, flds, cfg)
-        np.testing.assert_allclose(float(loss.data), -sim + cfg.lam * smo, rtol=1e-10)
-        want = sum(-float(local_ncc(ref, m, cfg).data) + cfg.lam * float(smoothness(f).data)
+        loss, sim, smo = loss_terms(ref, movs, flds)
+        np.testing.assert_allclose(float(loss.data), -sim + 2.0 * smo, rtol=1e-10)
+        want = sum(-float(local_ncc(ref, m).data) + 2.0 * float(smoothness(f).data)
                    for m, f in zip(movs, flds))
         np.testing.assert_allclose(float(loss.data), want, rtol=1e-12)
 
 
 class TestGradients:
+    @pytest.mark.usefixtures("window3")
     def test_total_loss_grad_wrt_fields(self):
         rng = np.random.default_rng(13)
         ref = rng.normal(size=(6, 6, 6))
@@ -533,11 +564,10 @@ class TestGradients:
         # trilinear floor discontinuities
         f0 = rng.uniform(0.1, 0.4, size=(3, 6, 6, 6))
         params = {"field": ad.param("field", f0)}
-        cfg = LossConfig(lam=1.0, ncc_window=3)
 
         def f(p):
             warped = ad.warp(mov, p["field"])
-            return loss_terms(ad.constant(ref), [warped], [p["field"]], cfg)[0]
+            return loss_terms(ad.constant(ref), [warped], [p["field"]])[0]
 
         err = grad_check(f, params, h=1e-4, samples=150, rng=rng)
         assert err <= 1e-4
@@ -555,19 +585,3 @@ class TestGradients:
         err = grad_check(f, params, h=1e-4, samples=150, rng=rng)
         assert err <= 1e-4
 
-
-# per LossConfig field, values that used to pass the boundary: a NaN weight
-# was accepted, and an infinite epsilon made the similarity 0
-BAD_LOSS_CONFIG = {
-    "lam": [float("nan"), float("inf"), "1"],
-    "ncc_window": [9.0, True, None],
-    "ncc_epsilon": [float("inf"), float("nan"), None],
-}
-
-
-@pytest.mark.parametrize("field", sorted(BAD_LOSS_CONFIG))
-def test_loss_config_rejects_non_integer_windows_and_non_finite_floats(field):
-    for bad in BAD_LOSS_CONFIG[field]:
-        with pytest.raises(ConfigurationError, match=field):
-            LossConfig(**{field: bad})
-    LossConfig(lam=0, ncc_window=np.int64(3), ncc_epsilon=np.float32(1e-5))
