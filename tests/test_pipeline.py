@@ -239,9 +239,10 @@ def taped_step(model):
 
 def test_the_tape_keeps_only_the_values_a_vjp_reads(monkeypatch):
     # resized decoder features feed only concat, and the loss's squares,
-    # products and sums feed only sums, adds and box sums: no VJP reads them,
-    # so they are freed once the forward pass drops them; every value below
-    # is read by its own VJP or by its consumer's
+    # products and sums feed only sums, adds, box sums, scalar products and a
+    # quotient's numerator: no VJP reads them, so they are freed once the
+    # forward pass drops them; every value below is read by its own VJP or by
+    # its consumer's
     values, original = {}, ad._node
 
     def recording(data, parents, vjp, op):
@@ -267,10 +268,10 @@ def test_the_tape_keeps_only_the_values_a_vjp_reads(monkeypatch):
 
 
 def test_backward_peaks_at_what_the_forward_pass_holds():
-    # the forward pass holds only the values some VJP reads, 0.53 of the
+    # the forward pass holds only the values some VJP reads, 0.55 of the
     # tape's values by size here (0.75 when the tape held every value), and
     # backward drops each node's graph and captured values once the walk has
-    # passed it, so its peak stays near what the forward pass holds (1.07x
+    # passed it, so its peak stays near what the forward pass holds (1.04x
     # here, the conv VJPs' workspace); a walk that keeps every node to the
     # end peaks at about 1.33x
     model = make_model()
