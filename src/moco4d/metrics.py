@@ -1,10 +1,10 @@
-"""Whole-volume alignment metrics and region statistics."""
+"""Whole-volume alignment metrics."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import DimensionError
 
 NMI_BINS = 64
 
@@ -44,15 +44,3 @@ def global_ncc(a, b):
     if den == 0.0:
         return float("nan")
     return float(np.sum(am * bm) / den)
-
-
-def roi_stats(ki, mask):
-    """(mean, max) of the map over a nonempty binary mask."""
-    ki = np.asarray(ki)
-    mask = np.asarray(mask, dtype=bool)
-    if ki.shape != mask.shape:
-        raise DimensionError("roi_stats: mask shape differs from map")
-    if not mask.any():
-        raise ConfigurationError("roi_stats: empty mask")
-    vals = ki[mask].astype(np.float64)
-    return float(vals.mean()), float(vals.max())

@@ -70,25 +70,6 @@ class NetVariant(str, Enum):
 
 
 @dataclass
-class FramePairSequence:
-    """A reference volume plus the moving frames registered against it."""
-
-    reference: np.ndarray
-    moving: list
-
-    def __post_init__(self):
-        if not self.moving:
-            raise DimensionError("a frame-pair sequence needs a moving frame")
-        shape = self.reference.shape
-        for m in self.moving:
-            if m.shape != shape:
-                raise DimensionError(f"frame shape {m.shape} != reference {shape}")
-
-    def __len__(self):
-        return len(self.moving)
-
-
-@dataclass
 class NetParams:
     """A variant and its parameters, one dict of named tensors: `<layer>.k`
     and `<layer>.b` for each conv layer and for the recurrent cell (`bcell`,
@@ -175,14 +156,22 @@ def _decode(params, skips, x):
     return x
 
 
-def forward_fields(params: NetParams, seq: FramePairSequence):
-    """Graph-building forward pass; returns one 3-channel field tensor per
-    moving frame, at the input grid.
+def forward_fields(params: NetParams, reference, moving):
+    """Graph-building forward pass over the `reference` volume [D,H,W] and the
+    `moving` frames registered against it (a list of volumes, or an array
+    [T,D,H,W]); returns one 3-channel field tensor [3,D,H,W] per moving frame,
+    at the input grid. Raises DimensionError unless there is a moving frame
+    and each is shaped like the reference.
 
     The frames run one at a time through encoder, decoder and flow head; a
     recurrent cell carries its state from each frame to the next."""
+    if len(moving) == 0:
+        raise DimensionError("forward_fields needs a moving frame")
+    shape = reference.shape
+    for m in moving:
+        if m.shape != shape:
+            raise DimensionError(f"frame shape {m.shape} != reference {shape}")
     variant = params.variant
-    shape = seq.reference.shape
     _check_extents(shape)
     if variant == NetVariant.B_LSTM:
         want = tuple(e // DOWN_FACTOR for e in shape)
@@ -193,11 +182,11 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
 
     t = params.tensors
     dtype = t["enc0.k"].dtype
-    ref = ad.constant(np.asarray(seq.reference, dtype=dtype))
+    ref = ad.constant(np.asarray(reference, dtype=dtype))
     state = None
     fields = []
-    for moving in seq.moving:
-        pair = ad.stack_frames([ad.constant(np.asarray(moving, dtype=dtype)), ref])
+    for frame in moving:
+        pair = ad.stack_frames([ad.constant(np.asarray(frame, dtype=dtype)), ref])
         skips, bottom = _encode(params, pair)
 
         # temporal context enters at the bottleneck for the B-variants
@@ -222,9 +211,9 @@ def forward_fields(params: NetParams, seq: FramePairSequence):
     return fields
 
 
-def estimate_displacements(params: NetParams, seq: FramePairSequence):
+def estimate_displacements(params: NetParams, reference, moving):
     """Inference entry point for the variant `params` was built for: one
-    displacement array [3,D,H,W] per moving frame, displacements in voxels of
-    the input grid."""
-    fields = forward_fields(params, seq)
+    displacement array [3,D,H,W] per frame of `moving`, displacements in
+    voxels of the input grid."""
+    fields = forward_fields(params, reference, moving)
     return [f.data for f in fields]

@@ -9,13 +9,14 @@ keeping the ground truth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigurationError, DimensionError, require_integers
-from .metrics import global_ncc, nmi, roi_stats
+from .metrics import global_ncc, nmi
 from .patlak import InputFunction, cumulative_input, parametric_maps
 from .series import FrameSeries
 from .warping import DisplacementField, warp_series
@@ -96,14 +97,19 @@ class Region:
 
 @dataclass
 class PhantomSpec:
-    """The phantom on `grid`: a body ellipsoid with 0.42 of each extent as
-    radius and kinetics BACKGROUND_KI and BACKGROUND_VB, and a hot-core tumor
-    4 voxels before the center along the last axis, whose center must lie
-    inside the grid. Frames have voxels of VOXEL_SIZE_MM."""
+    """The phantom on `grid`, 3 integer extents of at least 1: a body
+    ellipsoid with 0.42 of each extent as radius and kinetics BACKGROUND_KI
+    and BACKGROUND_VB, and a hot-core tumor 4 voxels before the center along
+    the last axis, whose center must lie inside the grid. Frames have voxels
+    of VOXEL_SIZE_MM."""
 
     grid: tuple = (16, 16, 32)
 
     def __post_init__(self):
+        if len(self.grid) != 3 or any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                                      or n < 1 for n in self.grid):
+            raise DimensionError(
+                f"phantom grid {self.grid!r} must be 3 integer extents, each at least 1")
         c = tuple((n - 1) / 2.0 for n in self.grid)
         self.body = Region(c, tuple(0.42 * n for n in self.grid), BACKGROUND_KI, BACKGROUND_VB)
         # region-mean Ki at the motion-free reference scale, with elevated
@@ -113,7 +119,7 @@ class PhantomSpec:
             raise ConfigurationError(f"tumor center {self.tumor.center} outside grid")
 
     def kinetic_maps(self):
-        """True (Ki, Vb, body mask) volumes; the tumor overrides the body."""
+        """True (Ki, Vb) volumes; the tumor overrides the body."""
         ki = np.zeros(self.grid)
         vb = np.zeros(self.grid)
         body = self.body.mask(self.grid)
@@ -122,7 +128,7 @@ class PhantomSpec:
         shape, m = self.tumor.profile(self.grid)
         ki[m] = (self.tumor.ki * shape)[m]
         vb[m] = (self.tumor.vb * shape)[m]
-        return ki, vb, body
+        return ki, vb
 
 
 def default_frame_times(n_frames=8):
@@ -138,10 +144,11 @@ def simulate_frames(spec: PhantomSpec, ifn: InputFunction, mid_times, durations)
     noise is the one `train.preprocess` adds above CUTOFF to the frames the
     network sees."""
     mid_times = np.asarray(mid_times, dtype=np.float64)
-    ki, vb, _body = spec.kinetic_maps()
-    frames = [(ki * cumulative_input(ifn, t) + vb * ifn.at(t)).astype(np.float32)
-              for t in mid_times]
-    return FrameSeries(np.stack(frames), mid_times, np.asarray(durations, dtype=np.float64),
+    ki, vb = spec.kinetic_maps()
+    frames = np.empty((len(mid_times), *ki.shape), dtype=np.float32)
+    for i, t in enumerate(mid_times):
+        frames[i] = ki * cumulative_input(ifn, t) + vb * ifn.at(t)
+    return FrameSeries(frames, mid_times, np.asarray(durations, dtype=np.float64),
                        VOXEL_SIZE_MM)
 
 
@@ -211,43 +218,48 @@ def inject_motion(series: FrameSeries, motion: MotionSpec):
 
 
 def endpoint_error(est_fields, true_fields):
-    """Mean composition residual |est(v) + true(v + est(v))| in voxels.
+    """Mean composition residual |est(v) + true(v + est(v))| in voxels over
+    the frames, for the estimated correction `est_fields` and for none (est
+    zero, where the residual is exactly true); returns the pair
+    (corrected, uncorrected).
 
-    Zero for a perfect correction; equals mean |true| when est is zero. An
+    The first is zero for a perfect correction; the second is mean |true|. An
     all-zero est skips the warp: a zero field samples every grid point with
-    weight 1 (and its other corners with weight 0), so there the residual is
-    exactly true."""
+    weight 1 (and its other corners with weight 0), so there the two agree."""
     if len(est_fields) != len(true_fields):
         raise DimensionError(f"endpoint_error: {len(est_fields)} vs {len(true_fields)} fields")
-    total = 0.0
+    total = total_none = 0.0
     count = 0
     for est, true in zip(est_fields, true_fields):
         if est.data.shape != true.data.shape:
             raise DimensionError(
                 f"endpoint_error: field shapes {est.data.shape} vs {true.data.shape}")
         resid = true.data.astype(np.float64)
+        mag = none = np.sqrt(np.square(resid).sum(axis=0))
         if est.data.any():
             # sample the true field at the correction's landing points; the
             # sample positions are float64 whatever the field's dtype
             resid = ad.warp(resid, ad.constant(est.data)).data
             resid += est.data
-        mag = np.sqrt(np.square(resid, out=resid).sum(axis=0))
+            mag = np.sqrt(np.square(resid, out=resid).sum(axis=0))
         total += float(mag.sum())
+        total_none += float(none.sum())
         count += mag.size
-    return total / max(count, 1)
+    return total / max(count, 1), total_none / max(count, 1)
 
 
-def _condition_metrics(series, ifn, body, tumor_mask):
-    """`body` holds the flat indices of the body voxels, in increasing order."""
+def _condition_metrics(series, ifn, body, tumor):
+    """`body` and `tumor` hold the flat indices of their voxels, in increasing
+    order."""
     maps = parametric_maps(series, ifn)
     nfe_vals = np.take(maps.nfe, body[~np.take(maps.degenerate, body)])
-    ki_mean, ki_max = roi_stats(maps.ki, tumor_mask)
+    tumor_ki = np.take(maps.ki, tumor)
     ki, vb = np.take(maps.ki, body), np.take(maps.vb, body)
     return {
         "nfe_mean": float(nfe_vals.mean()) if nfe_vals.size else float("nan"),
         "nfe_max": float(nfe_vals.max()) if nfe_vals.size else float("nan"),
-        "ki_mean": ki_mean,
-        "ki_max": ki_max,
+        "ki_mean": float(tumor_ki.mean()),
+        "ki_max": float(tumor_ki.max()),
         "ki_vb_nmi": nmi(ki, vb),
         "ki_vb_ncc": global_ncc(ki, vb),
     }
@@ -256,7 +268,9 @@ def _condition_metrics(series, ifn, body, tumor_mask):
 def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
                         est_fields, spec: PhantomSpec, ifn: InputFunction):
     """Fit three conditions and report their kinetic statistics and alignment
-    metrics, and the field endpoint error. The conditions are the motion-free
+    metrics, and the field endpoint error with the estimated correction
+    (`endpoint_error_voxels`) and without it (`endpoint_error_no_correction`).
+    The conditions are the motion-free
     truth, the motion series (the truth warped by the true fields: bit for bit
     the series `inject_motion` returns) and the corrected series; each is
     fitted by `parametric_maps`, over its frames past patlak.T_STAR. Per
@@ -272,7 +286,7 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
     if tuple(spec.grid) != truth.grid:
         raise DimensionError(f"phantom grid {tuple(spec.grid)} != series grid {truth.grid}")
     body = np.flatnonzero(spec.body.mask(spec.grid))
-    tumor = spec.tumor.mask(spec.grid)
+    tumor = np.flatnonzero(spec.tumor.mask(spec.grid))
 
     # the motion series and each condition's maps are dropped once measured
     report = {
@@ -280,8 +294,6 @@ def evaluate_correction(corrected: FrameSeries, truth: FrameSeries, true_fields,
         "motion": _condition_metrics(warp_series(truth, true_fields), ifn, body, tumor),
         "corrected": _condition_metrics(corrected, ifn, body, tumor),
     }
-    report["endpoint_error_voxels"] = endpoint_error(est_fields, true_fields)
-    zero = np.zeros_like(true_fields[0].data)     # read only, shared by every frame
-    report["endpoint_error_no_correction"] = endpoint_error(
-        [DisplacementField(zero) for _ in true_fields], true_fields)
+    (report["endpoint_error_voxels"],
+     report["endpoint_error_no_correction"]) = endpoint_error(est_fields, true_fields)
     return report

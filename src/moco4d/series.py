@@ -25,6 +25,8 @@ class FrameSeries:
         if self.data.ndim != 4:
             raise DimensionError(f"series data must be [T,D,H,W], got {self.data.shape}")
         t = self.data.shape[0]
+        if t == 0:
+            raise DimensionError("a frame series needs at least one frame")
         if self.mid_times.shape != (t,) or self.durations.shape != (t,):
             raise DimensionError("frame timing arrays must match the frame count")
         if t > 1 and not np.all(np.diff(self.mid_times) > 0):

@@ -12,7 +12,7 @@ from . import network as net
 from .errors import (ConfigurationError, DimensionError, NumericError, require_finite,
                      require_integers)
 from .losses import loss_terms
-from .network import DOWN_FACTOR, FramePairSequence, NetVariant
+from .network import DOWN_FACTOR, NetVariant
 from .series import FrameSeries
 from .warping import DisplacementField, resample_field, warp_series
 
@@ -123,18 +123,6 @@ def crop_to(vol, shape):
     return vol[tuple(slice(0, s) for s in shape)]
 
 
-def make_windows(frames, cfg: TrainConfig, length):
-    """All consecutive windows of `length` over the frames [T, ...], each
-    paired with the fixed reference frame; the reference frame may itself
-    appear as a moving frame.
-    """
-    if len(frames) < length:
-        raise ConfigurationError(f"{len(frames)} frames < window length {length}")
-    ref = frames[cfg.reference_index]
-    return [FramePairSequence(ref, list(frames[start:start + length]))
-            for start in range(len(frames) - length + 1)]
-
-
 def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
     """Downsample, pad to the network granularity, and preprocess each frame.
 
@@ -152,15 +140,15 @@ def _working_series(series: FrameSeries, cfg: TrainConfig, rng):
     return np.stack(worked), shape
 
 
-def _train_step(model, params, seq, adam, lr, step):
-    """Forward, backward and Adam update on one window; returns the loss, its
-    similarity and its smoothness term as floats. The step's graph lives only
-    in this call's locals, so it is freed before the next step starts."""
+def _train_step(model, params, reference, frames, adam, lr, step):
+    """Forward, backward and Adam update on one window of `frames` registered
+    to `reference`; returns the loss, its similarity and its smoothness term
+    as floats. The step's graph lives only in this call's locals, so it is
+    freed before the next step starts."""
     with ad.Tape() as tape:
-        fields = net.forward_fields(model, seq)
-        warped = [ad.warp(m, f) for m, f in zip(seq.moving, fields)]
-        loss, sim, smooth = loss_terms(ad.constant(np.asarray(seq.reference)),
-                                       warped, fields)
+        fields = net.forward_fields(model, reference, frames)
+        warped = [ad.warp(m, f) for m, f in zip(frames, fields)]
+        loss, sim, smooth = loss_terms(ad.constant(np.asarray(reference)), warped, fields)
     if not np.isfinite(loss.data):
         raise NumericError(
             f"non-finite loss at step {step} (similarity={sim}, smoothness={smooth})")
@@ -172,9 +160,12 @@ def _train_step(model, params, seq, adam, lr, step):
 def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
     """Adam at batch size 1 over shuffled windows; returns (model, trace).
 
-    The trace holds one row per epoch: (epoch, mean_loss, similarity_term,
-    smoothness_term). Deterministic under a fixed config. Raises
-    ConfigurationError when the series give no training window."""
+    The windows are every run of consecutive frames of the window length in
+    each series, each registered to that series' reference frame, which may
+    itself be one of the window's frames. The trace holds one row per epoch:
+    (epoch, mean_loss, similarity_term, smoothness_term). Deterministic under
+    a fixed config. Raises ConfigurationError when a series is shorter than
+    the window or the series give no training window."""
     variant = NetVariant(variant)
     if variant != model.variant:
         raise ConfigurationError(f"model is {model.variant.value}, requested {variant.value}")
@@ -184,7 +175,11 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
     all_windows = []
     for series in series_list:
         net_frames, _shape = _working_series(series, cfg, rng)
-        all_windows.extend(make_windows(net_frames, cfg, length))
+        if len(net_frames) < length:
+            raise ConfigurationError(f"{len(net_frames)} frames < window length {length}")
+        ref = net_frames[cfg.reference_index]
+        all_windows.extend((ref, net_frames[start:start + length])
+                           for start in range(len(net_frames) - length + 1))
     if not all_windows:
         raise ConfigurationError("no training window: series_list is empty")
 
@@ -196,7 +191,7 @@ def train(model: net.NetParams, variant, series_list, cfg: TrainConfig):
         order = rng.permutation(len(all_windows))
         tot_loss = tot_sim = tot_smooth = 0.0
         for wi in order:
-            loss, sim, smooth = _train_step(model, params, all_windows[wi], adam,
+            loss, sim, smooth = _train_step(model, params, *all_windows[wi], adam,
                                             cfg.learning_rate, step)
             tot_loss += loss
             tot_sim += sim
@@ -219,8 +214,7 @@ def apply(model: net.NetParams, series: FrameSeries, cfg: TrainConfig):
     one per frame; the reference frame's field is zero)."""
     rng = np.random.default_rng(cfg.seed)
     net_frames, work_shape = _working_series(series, cfg, rng)
-    est = net.estimate_displacements(
-        model, FramePairSequence(net_frames[cfg.reference_index], list(net_frames)))
+    est = net.estimate_displacements(model, net_frames[cfg.reference_index], net_frames)
     fields = []
     for i, fld in enumerate(est):
         if i == cfg.reference_index:

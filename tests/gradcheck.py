@@ -119,7 +119,8 @@ _BIAS_OFFSETS = {
 
 def make_gradcheck_instance(extents=(16, 16, 32), frames=5, seed=12345,
                             variant=net.NetVariant.B_CONVLSTM):
-    """A float64 model + window pair suited to finite-difference checking."""
+    """A float64 model and a window suited to finite-difference checking:
+    (params, reference volume, list of `frames` moving frames)."""
     rng = np.random.default_rng(seed)
     params = net.init_net_params(variant, np.random.default_rng(seed + 1),
                                  extents=extents, dtype=np.float64)
@@ -140,16 +141,16 @@ def make_gradcheck_instance(extents=(16, 16, 32), frames=5, seed=12345,
         fld = np.stack([ad.box_sum(ad.constant(rng.normal(size=extents)), 3).data / 27.0
                         for _ in range(3)]) * 1.5
         movs.append(ad.warp(ref, ad.constant(fld)).data + rng.normal(scale=0.02, size=extents))
-    return params, net.FramePairSequence(ref, movs)
+    return params, ref, movs
 
 
-def window_loss_fn(params, seq):
+def window_loss_fn(params, reference, moving):
     """Scalar end-to-end objective: estimate fields, warp, score."""
-    movs = [np.asarray(m, dtype=np.float64) for m in seq.moving]
-    ref = ad.constant(np.asarray(seq.reference, dtype=np.float64))
+    movs = [np.asarray(m, dtype=np.float64) for m in moving]
+    ref = ad.constant(np.asarray(reference, dtype=np.float64))
 
     def f(_params):
-        fields = net.forward_fields(params, seq)
+        fields = net.forward_fields(params, reference, moving)
         warped = [ad.warp(m, fl) for m, fl in zip(movs, fields)]
         return loss_terms(ref, warped, fields)[0]
 

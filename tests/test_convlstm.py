@@ -150,12 +150,12 @@ class TestStep:
 
 
 def window(rng, extents, frames):
-    return net.FramePairSequence(rng.normal(size=extents),
-                                 [rng.normal(size=extents) for _ in range(frames)])
+    """A reference volume and `frames` moving frames."""
+    return rng.normal(size=extents), [rng.normal(size=extents) for _ in range(frames)]
 
 
-def pair(seq, t):
-    return ad.constant(np.stack([seq.moving[t], seq.reference]))
+def pair(ref, movs, t):
+    return ad.constant(np.stack([movs[t], ref]))
 
 
 def flow(params, feat):
@@ -177,9 +177,9 @@ class TestUnroll:
     def test_length_one_equals_step(self):
         # one frame: one cell step at the bottleneck from a zero state
         params = self.make(net.NetVariant.B_CONVLSTM, 5)
-        seq = window(np.random.default_rng(5), self.EXTENTS, 1)
-        (got,) = net.forward_fields(params, seq)
-        skips, bottom = net._encode(params, pair(seq, 0))
+        ref, movs = window(np.random.default_rng(5), self.EXTENTS, 1)
+        (got,) = net.forward_fields(params, ref, movs)
+        skips, bottom = net._encode(params, pair(ref, movs, 0))
         t = params.tensors
         st = cl.convlstm_step(t["bcell.k"], t["bcell.b"], bottom,
                               state(np.zeros((32, *bottom.shape[1:])),
@@ -199,23 +199,22 @@ class TestUnroll:
         params = self.make(net.NetVariant.B_CONVLSTM, 6)
         params.tensors["bcell.k"].data[:] = 0.0
         params.tensors["bcell.b"].data[:] = 0.0
-        seq = window(rng, self.EXTENTS, 3)
-        fields = net.estimate_displacements(params, seq)
+        ref, movs = window(rng, self.EXTENTS, 3)
+        fields = net.estimate_displacements(params, ref, movs)
         for t in range(3):
-            alone = net.FramePairSequence(seq.reference, [seq.moving[t]])
-            np.testing.assert_array_equal(fields[t],
-                                          net.estimate_displacements(params, alone)[0])
+            np.testing.assert_array_equal(
+                fields[t], net.estimate_displacements(params, ref, [movs[t]])[0])
 
     def test_equals_explicit_chaining(self):
         # S-ConvLSTM: the cell runs after the decoder's serial conv, and its
         # state carries from each frame to the next
         params = self.make(net.NetVariant.S_CONVLSTM, 7)
-        seq = window(np.random.default_rng(7), self.EXTENTS, 3)
-        fields = net.forward_fields(params, seq)
+        ref, movs = window(np.random.default_rng(7), self.EXTENTS, 3)
+        fields = net.forward_fields(params, ref, movs)
         k, b = params.tensors["scell.k"], params.tensors["scell.b"]
         st = state(np.zeros((32, *self.EXTENTS)), np.zeros((32, *self.EXTENTS)))
         for t in range(3):
-            skips, bottom = net._encode(params, pair(seq, t))
+            skips, bottom = net._encode(params, pair(ref, movs, t))
             feat = net._conv_block(params, "sconv", net._decode(params, skips, bottom), 1)
             st = cl.convlstm_step(k, b, feat, st)
             np.testing.assert_array_equal(fields[t].data, flow(params, st.h).data)
@@ -228,11 +227,11 @@ class TestUnroll:
         s = int(np.prod(spatial))
         k, b = params.tensors["blstm.k"], params.tensors["blstm.b"]
         assert k.shape == (4 * s, 32 * s + s)
-        seq = window(np.random.default_rng(8), self.EXTENTS, 3)
-        fields = net.forward_fields(params, seq)
+        ref, movs = window(np.random.default_rng(8), self.EXTENTS, 3)
+        fields = net.forward_fields(params, ref, movs)
         st = state(np.zeros(s), np.zeros(s))
         for t in range(3):
-            skips, bottom = net._encode(params, pair(seq, t))
+            skips, bottom = net._encode(params, pair(ref, movs, t))
             st = cl.convlstm_step(k, b, ad.constant(bottom.data.ravel()), st)
             h = ad.constant(st.h.data.reshape(1, *spatial))
             feat = net._decode(params, skips, net._conv_block(params, "restore", h, 1))
@@ -240,8 +239,9 @@ class TestUnroll:
 
     def test_empty_sequence_rejected(self):
         # a window with no moving frame never reaches the recurrence
-        with pytest.raises(DimensionError):
-            net.FramePairSequence(np.zeros((3, 3, 3)), [])
+        params = self.make(net.NetVariant.B_CONVLSTM, 9)
+        with pytest.raises(DimensionError, match="moving frame"):
+            net.forward_fields(params, np.zeros(self.EXTENTS), [])
 
 
 class TestDense:

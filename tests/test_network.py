@@ -7,7 +7,7 @@ from moco4d import autodiff as ad
 from moco4d import losses
 from moco4d import network as net
 from moco4d.errors import DimensionError
-from moco4d.network import FramePairSequence, NetVariant
+from moco4d.network import NetVariant
 
 from gradcheck import grad_check, make_gradcheck_instance, window_loss_fn
 from oracles import PAPER_EXTENTS, count_params, expected_param_count, traced_peak_bytes
@@ -70,28 +70,31 @@ class TestShapes:
     def test_field_extents_match_input(self, extents):
         params = make_params(NetVariant.MULTI_FRAME, extents=extents, dtype=np.float32)
         rng = np.random.default_rng(1)
-        seq = FramePairSequence(rng.normal(size=extents).astype(np.float32),
-                                [rng.normal(size=extents).astype(np.float32)
-                                 for _ in range(3)])
-        fields = net.estimate_displacements(params, seq)
+        ref = rng.normal(size=extents).astype(np.float32)
+        movs = [rng.normal(size=extents).astype(np.float32) for _ in range(3)]
+        fields = net.estimate_displacements(params, ref, movs)
         assert len(fields) == 3
         for f in fields:
             assert f.shape == (3, *extents)
 
     def test_indivisible_extents_rejected(self):
         params = make_params(NetVariant.PAIRWISE, dtype=np.float32)
-        seq = FramePairSequence(np.zeros((20, 16, 16), dtype=np.float32),
-                                [np.zeros((20, 16, 16), dtype=np.float32)])
+        frame = np.zeros((20, 16, 16), dtype=np.float32)
         with pytest.raises(DimensionError):
-            net.estimate_displacements(params, seq)
+            net.estimate_displacements(params, frame, [frame])
+
+    def test_moving_frame_of_another_shape_rejected(self):
+        params = make_params(NetVariant.MULTI_FRAME, dtype=np.float32)
+        ref = np.zeros((16, 16, 16), dtype=np.float32)
+        with pytest.raises(DimensionError, match="frame shape"):
+            net.forward_fields(params, ref, [ref, np.zeros((16, 16, 32), dtype=np.float32)])
 
     def test_zero_flow_head_gives_zero_fields(self):
         params = zero_flow_head(make_params(NetVariant.B_CONVLSTM, dtype=np.float32))
         rng = np.random.default_rng(2)
-        seq = FramePairSequence(rng.normal(size=(16, 16, 16)).astype(np.float32),
-                                [rng.normal(size=(16, 16, 16)).astype(np.float32)
-                                 for _ in range(2)])
-        for f in net.estimate_displacements(params, seq):
+        ref = rng.normal(size=(16, 16, 16)).astype(np.float32)
+        movs = [rng.normal(size=(16, 16, 16)).astype(np.float32) for _ in range(2)]
+        for f in net.estimate_displacements(params, ref, movs):
             assert np.all(f == 0.0)
 
 
@@ -113,7 +116,7 @@ class TestShapes:
         frames = [rng.normal(size=extents).astype(np.float32) for _ in range(2)]
         for variant in NetVariant:
             params = make_params(variant, extents=extents, dtype=np.float32)
-            net.estimate_displacements(params, FramePairSequence(frames[0], frames[1:]))
+            net.estimate_displacements(params, frames[0], frames[1:])
         assert len(convs) >= 12
         for x_shape, k_shape, stride in convs:
             cout = k_shape[0]
@@ -136,13 +139,12 @@ class TestInference:
     def test_forward_outside_a_tape_keeps_no_graph(self, variant):
         params = make_params(variant, extents=(16, 16, 16), dtype=np.float32)
         rng = np.random.default_rng(3)
-        seq = FramePairSequence(rng.normal(size=(16, 16, 16)).astype(np.float32),
-                                [rng.normal(size=(16, 16, 16)).astype(np.float32)
-                                 for _ in range(2)])
-        fields = net.forward_fields(params, seq)
+        ref = rng.normal(size=(16, 16, 16)).astype(np.float32)
+        movs = [rng.normal(size=(16, 16, 16)).astype(np.float32) for _ in range(2)]
+        fields = net.forward_fields(params, ref, movs)
         assert all(f.node.parents == () and f.vjp is None for f in fields)
         with ad.Tape():
-            taped = net.forward_fields(params, seq)
+            taped = net.forward_fields(params, ref, movs)
         assert all(f.node.parents and f.vjp is not None for f in taped)
         for f, f_t in zip(fields, taped):
             np.testing.assert_array_equal(f.data, f_t.data)
@@ -156,9 +158,9 @@ class TestInference:
         rng = np.random.default_rng(9)
         ref = rng.normal(size=(16, 16, 16)).astype(np.float32)
         movs = [rng.normal(size=(16, 16, 16)).astype(np.float32) for _ in range(4)]
-        whole = net.estimate_displacements(params, FramePairSequence(ref, movs))
+        whole = net.estimate_displacements(params, ref, movs)
         for k in (1, 3):
-            prefix = net.estimate_displacements(params, FramePairSequence(ref, movs[:k]))
+            prefix = net.estimate_displacements(params, ref, movs[:k])
             for f_p, f_w in zip(prefix, whole[:k]):
                 np.testing.assert_array_equal(f_p, f_w)
 
@@ -172,8 +174,8 @@ class TestInference:
         movs = [rng.normal(size=(16, 16, 32)).astype(np.float32) for _ in range(5)]
 
         def peak(frames):
-            seq = FramePairSequence(ref, movs[:frames])
-            return traced_peak_bytes(lambda: net.estimate_displacements(params, seq))
+            return traced_peak_bytes(
+                lambda: net.estimate_displacements(params, ref, movs[:frames]))
 
         assert peak(5) < 1.5 * peak(1)
 
@@ -210,8 +212,8 @@ class TestEquivalences:
         rng = np.random.default_rng(4)
         ref = rng.normal(size=extents)
         mov = rng.normal(size=extents)
-        f_pw = net.estimate_displacements(pw, FramePairSequence(ref, [mov]))[0]
-        fs_mf = net.estimate_displacements(mf, FramePairSequence(ref, [mov] * 5))
+        f_pw = net.estimate_displacements(pw, ref, [mov])[0]
+        fs_mf = net.estimate_displacements(mf, ref, [mov] * 5)
         # both run the same per-frame code, so the fields are bit-identical
         for f in fs_mf:
             np.testing.assert_array_equal(f, f_pw)
@@ -222,10 +224,10 @@ class TestEquivalences:
         rng = np.random.default_rng(6)
         ref = rng.normal(size=extents)
         movs = [rng.normal(size=extents) for _ in range(4)]
-        fields = net.estimate_displacements(params, FramePairSequence(ref, movs))
+        fields = net.estimate_displacements(params, ref, movs)
         perm = [2, 0, 3, 1]
         fields_p = net.estimate_displacements(
-            params, FramePairSequence(ref, [movs[i] for i in perm]))
+            params, ref, [movs[i] for i in perm])
         for j, i in enumerate(perm):
             np.testing.assert_array_equal(fields_p[j], fields[i])
 
@@ -236,8 +238,8 @@ class TestEquivalences:
         mid_cell_flow_head(params, rng, kernel_std=0.05)
         ref = rng.normal(size=extents)
         movs = [rng.normal(size=extents) for _ in range(3)]
-        f_fwd = net.estimate_displacements(params, FramePairSequence(ref, movs))
-        f_rev = net.estimate_displacements(params, FramePairSequence(ref, movs[::-1]))
+        f_fwd = net.estimate_displacements(params, ref, movs)
+        f_rev = net.estimate_displacements(params, ref, movs[::-1])
         # the last frame of the reversed window is the first of the forward one
         assert not np.allclose(f_rev[-1], f_fwd[0])
 
@@ -251,10 +253,10 @@ class TestEquivalences:
         mid_cell_flow_head(params, rng, kernel_std=0.05)
         ref = rng.normal(size=extents).astype(np.float32)
         movs = [rng.normal(size=extents).astype(np.float32) for _ in range(5)]
-        fields = net.estimate_displacements(params, FramePairSequence(ref, movs))
+        fields = net.estimate_displacements(params, ref, movs)
         assert len(fields) == 5
         for mov, f in zip(movs, fields):
-            alone = net.estimate_displacements(params, FramePairSequence(ref, [mov]))
+            alone = net.estimate_displacements(params, ref, [mov])
             np.testing.assert_array_equal(f, alone[0])
 
 
@@ -263,9 +265,9 @@ class TestGradients:
                                          NetVariant.B_LSTM])
     def test_end_to_end_gradient_small(self, variant, monkeypatch):
         monkeypatch.setattr(losses, "NCC_EPSILON", 1e-3)
-        params, seq = make_gradcheck_instance(extents=(16, 16, 16), frames=2,
-                                              seed=21, variant=variant)
-        f = window_loss_fn(params, seq)
+        params, ref, movs = make_gradcheck_instance(extents=(16, 16, 16), frames=2,
+                                                    seed=21, variant=variant)
+        f = window_loss_fn(params, ref, movs)
         err = grad_check(f, params.named(), h=1e-4, samples=40,
                          rng=np.random.default_rng(0), min_grad=1e-3,
                          refine=True, tol=1e-4)

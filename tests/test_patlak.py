@@ -7,7 +7,7 @@ import pytest
 
 from moco4d import pool
 from moco4d.errors import ConfigurationError
-from moco4d.metrics import global_ncc, nmi, roi_stats
+from moco4d.metrics import global_ncc, nmi
 from moco4d.patlak import (_PATLAK_BLOCK_VOXELS, F18_HALF_LIFE_MIN, T_STAR, InputFunction,
                            cumulative_input, decay_weights, parametric_maps)
 from moco4d.series import FrameSeries
@@ -385,21 +385,3 @@ class TestAlignmentMetrics:
         a, b = rng.normal(size=50), rng.normal(size=50)
         assert global_ncc(a, b) == pytest.approx(global_ncc(b, a), abs=1e-15)
         assert np.isnan(global_ncc(np.ones(10), b[:10]))
-
-
-class TestRoiStats:
-    def test_single_voxel(self):
-        ki = np.zeros((3, 3, 3))
-        ki[1, 1, 1] = 0.7
-        mask = np.zeros((3, 3, 3), dtype=bool)
-        mask[1, 1, 1] = True
-        assert roi_stats(ki, mask) == (0.7, 0.7)
-
-    def test_two_voxels(self):
-        ki = np.array([[[0.0, 2.0]]])
-        mask = np.ones((1, 1, 2), dtype=bool)
-        assert roi_stats(ki, mask) == (1.0, 2.0)
-
-    def test_empty_mask(self):
-        with pytest.raises(ConfigurationError):
-            roi_stats(np.ones((2, 2, 2)), np.zeros((2, 2, 2), dtype=bool))

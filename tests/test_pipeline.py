@@ -14,7 +14,8 @@ from moco4d import phantom as ph
 from moco4d import train as tr
 from moco4d.errors import ConfigurationError, DimensionError
 from moco4d.losses import loss_terms
-from moco4d.network import FramePairSequence, NetVariant
+from moco4d.metrics import global_ncc, nmi
+from moco4d.network import NetVariant
 from moco4d.patlak import parametric_maps
 from moco4d.series import FrameSeries
 from moco4d.warping import resample_field, warp_series
@@ -75,6 +76,26 @@ def test_evaluate_motion_condition_is_the_injected_series(phantom):
     report = ph.evaluate_correction(moving, truth, true_fields, true_fields, spec, ifn)
     assert report["motion"] == report["corrected"]
     assert report["motion"] != report["motion_free"]
+
+
+def test_report_entries_are_recomputed_from_each_condition_maps(phantom):
+    # per condition: the tumor's Ki mean and max, the body's NFE mean and max
+    # over its non-degenerate voxels, and the NMI and NCC of body Ki and Vb
+    spec, ifn, truth = phantom
+    moving, true_fields = ph.inject_motion(truth, ph.MotionSpec(seed=1))
+    corrected, fields = tr.apply(make_model(), moving, config())
+    report = ph.evaluate_correction(corrected, truth, true_fields, fields, spec, ifn)
+    body, tumor = spec.body.mask(spec.grid), spec.tumor.mask(spec.grid)
+    conditions = {"motion_free": truth, "motion": warp_series(truth, true_fields),
+                  "corrected": corrected}
+    for name, series in conditions.items():
+        maps = parametric_maps(series, ifn)
+        nfe = maps.nfe[body & ~maps.degenerate]
+        ki, vb = maps.ki[body], maps.vb[body]
+        assert report[name] == {
+            "nfe_mean": float(nfe.mean()), "nfe_max": float(nfe.max()),
+            "ki_mean": float(maps.ki[tumor].mean()), "ki_max": float(maps.ki[tumor].max()),
+            "ki_vb_nmi": nmi(ki, vb), "ki_vb_ncc": global_ncc(ki, vb)}
 
 
 def test_train_and_apply_leave_the_input_series_unchanged(phantom):
@@ -163,16 +184,16 @@ def test_apply_runs_one_pass_over_every_frame(phantom, monkeypatch, variant):
     model = net.init_net_params(variant, np.random.default_rng(1), extents=truth.grid)
     net_frames, _shape = tr._working_series(moving, cfg, np.random.default_rng(cfg.seed))
     ref = net_frames[cfg.reference_index]
-    whole = net.estimate_displacements(model, FramePairSequence(ref, list(net_frames)))
+    whole = net.estimate_displacements(model, ref, list(net_frames))
     if variant in (NetVariant.B_CONVLSTM, NetVariant.S_CONVLSTM, NetVariant.B_LSTM):
         # the state runs from frame 0: a window from frame 3 gives frame 7 another field
-        tail = net.estimate_displacements(model, FramePairSequence(ref, list(net_frames[3:])))
+        tail = net.estimate_displacements(model, ref, list(net_frames[3:]))
         assert not np.array_equal(tail[-1], whole[-1])
     calls, estimate = [], net.estimate_displacements
 
-    def counted(params, seq):
-        calls.append(len(seq))
-        return estimate(params, seq)
+    def counted(params, reference, moving):
+        calls.append(len(moving))
+        return estimate(params, reference, moving)
 
     monkeypatch.setattr(net, "estimate_displacements", counted)
     _corrected, fields = tr.apply(model, moving, cfg)
@@ -194,7 +215,7 @@ def test_frame_wise_variants_apply_one_frame_fields(phantom, variant):
     net_frames, _shape = tr._working_series(moving, cfg, np.random.default_rng(cfg.seed))
     ref = net_frames[cfg.reference_index]
     for frame, f in zip(net_frames[1:], fields[1:]):
-        alone = net.estimate_displacements(model, FramePairSequence(ref, [frame]))
+        alone = net.estimate_displacements(model, ref, [frame])
         np.testing.assert_array_equal(f.data, alone[0])
 
 
@@ -228,11 +249,10 @@ def taped_step(model):
     16x16x32 window of random frames; returns (tape, loss)."""
     rng = np.random.default_rng(12)
     ref = rng.normal(size=(16, 16, 32)).astype(np.float32)
-    seq = FramePairSequence(ref, [rng.normal(size=ref.shape).astype(np.float32)
-                                  for _ in range(5)])
+    movs = [rng.normal(size=ref.shape).astype(np.float32) for _ in range(5)]
     with ad.Tape() as tape:
-        fields = net.forward_fields(model, seq)
-        warped = [ad.warp(m, f) for m, f in zip(seq.moving, fields)]
+        fields = net.forward_fields(model, ref, movs)
+        warped = [ad.warp(m, f) for m, f in zip(movs, fields)]
         loss, _sim, _smooth = loss_terms(ad.constant(ref), warped, fields)
     return tape, loss
 
@@ -397,6 +417,28 @@ def test_simulate_frames_rejects_decreasing_mid_times():
         ph.simulate_frames(ph.PhantomSpec(), ph.sample_input_function(), mids[::-1], durations)
 
 
+@pytest.mark.parametrize("grid", [(16, 16), (16.5, 16, 32), (16, 16, 32, 1), (0, 16, 32)])
+def test_phantom_rejects_a_grid_of_other_than_3_positive_integer_extents(grid):
+    # these used to fail further in: an IndexError, numpy's TypeError, a
+    # failed unpack in kinetic_maps, or a tumor center "outside grid"
+    with pytest.raises(DimensionError, match="phantom grid"):
+        ph.PhantomSpec(grid=grid)
+
+
+def test_phantom_accepts_numpy_integer_extents():
+    ki, vb = ph.PhantomSpec(grid=tuple(np.int64(n) for n in (16, 16, 32))).kinetic_maps()
+    assert ki.shape == vb.shape == (16, 16, 32)
+
+
+def test_a_series_with_no_frame_is_rejected():
+    # an empty schedule used to fail in np.stack, and an empty series in apply
+    mids, durations = ph.default_frame_times(0)
+    with pytest.raises(DimensionError, match="at least one frame"):
+        ph.simulate_frames(ph.PhantomSpec(), ph.sample_input_function(), mids, durations)
+    with pytest.raises(DimensionError, match="at least one frame"):
+        FrameSeries(np.zeros((0, 16, 16, 32)), [], [])
+
+
 def test_motion_rejects_negative_reference_index():
     with pytest.raises(ConfigurationError):
         ph.MotionSpec(reference_index=-1)
@@ -432,6 +474,14 @@ def test_train_rejects_reference_index_past_last_frame(phantom):
 def test_train_rejects_no_windows():
     with pytest.raises(ConfigurationError):
         tr.train(make_model(), VARIANT, [], config(epochs=2))
+
+
+def test_train_rejects_a_series_shorter_than_the_window(phantom):
+    _spec, _ifn, truth = phantom
+    first4 = FrameSeries(truth.data[:4], truth.mid_times[:4], truth.durations[:4],
+                         truth.voxel_size_mm)
+    with pytest.raises(ConfigurationError, match="4 frames < window length 5"):
+        tr.train(make_model(), VARIANT, [first4], config())
 
 
 # per TrainConfig field, values that used to pass the boundary and fail, or

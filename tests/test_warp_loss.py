@@ -351,16 +351,25 @@ class TestEndpointError:
     def test_matches_per_component_composition(self):
         rng = np.random.default_rng(18)
         true, est = self._fields(rng, 3, 2.5), self._fields(rng, 3, 2.0)
-        assert endpoint_error(est, true) == _endpoint_error_per_component(est, true)
+        assert endpoint_error(est, true)[0] == _endpoint_error_per_component(est, true)
 
     def test_zero_correction_is_mean_true_magnitude(self):
         rng = np.random.default_rng(19)
         true = self._fields(rng, 3, 2.5)
         zero = [DisplacementField(np.zeros((3, *self.GRID), np.float32)) for _ in true]
-        assert endpoint_error(zero, true) == _endpoint_error_per_component(zero, true)
+        assert endpoint_error(zero, true)[0] == _endpoint_error_per_component(zero, true)
         t64 = true[0].data.astype(np.float64)
         want = np.mean(np.sqrt(np.sum(t64 ** 2, axis=0)))
-        assert endpoint_error(zero[:1], true[:1]) == want
+        assert endpoint_error(zero[:1], true[:1])[0] == want
+
+    def test_uncorrected_error_ignores_the_correction(self):
+        # the second value is the error of a zero correction, whatever est is
+        rng = np.random.default_rng(21)
+        true, est = self._fields(rng, 3, 2.5), self._fields(rng, 3, 2.0)
+        zero = [DisplacementField(np.zeros((3, *self.GRID), np.float32)) for _ in true]
+        want = _endpoint_error_per_component(zero, true)
+        assert endpoint_error(est, true)[1] == want
+        assert endpoint_error(zero, true) == (want, want)
 
     def test_shape_mismatch(self):
         true = [DisplacementField(np.zeros((3, *self.GRID)))]
