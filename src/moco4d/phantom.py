@@ -97,19 +97,20 @@ class Region:
 
 @dataclass
 class PhantomSpec:
-    """The phantom on `grid`, 3 integer extents of at least 1: a body
-    ellipsoid with 0.42 of each extent as radius and kinetics BACKGROUND_KI
-    and BACKGROUND_VB, and a hot-core tumor 4 voxels before the center along
-    the last axis, whose center must lie inside the grid. Frames have voxels
-    of VOXEL_SIZE_MM."""
+    """The phantom on `grid`, a tuple of 3 integer extents of at least 1: a
+    body ellipsoid with 0.42 of each extent as radius and kinetics
+    BACKGROUND_KI and BACKGROUND_VB, and a hot-core tumor 4 voxels before the
+    center along the last axis, whose center must lie inside the grid. Frames
+    have voxels of VOXEL_SIZE_MM."""
 
     grid: tuple = (16, 16, 32)
 
     def __post_init__(self):
-        if len(self.grid) != 3 or any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
-                                      or n < 1 for n in self.grid):
-            raise DimensionError(
-                f"phantom grid {self.grid!r} must be 3 integer extents, each at least 1")
+        if not isinstance(self.grid, (tuple, list)) or len(self.grid) != 3 or any(
+                isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
+                for n in self.grid):
+            raise DimensionError(f"phantom grid {self.grid!r} must be a tuple of 3 "
+                                 "integer extents, each at least 1")
         c = tuple((n - 1) / 2.0 for n in self.grid)
         self.body = Region(c, tuple(0.42 * n for n in self.grid), BACKGROUND_KI, BACKGROUND_VB)
         # region-mean Ki at the motion-free reference scale, with elevated

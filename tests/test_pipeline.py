@@ -417,10 +417,11 @@ def test_simulate_frames_rejects_decreasing_mid_times():
         ph.simulate_frames(ph.PhantomSpec(), ph.sample_input_function(), mids[::-1], durations)
 
 
-@pytest.mark.parametrize("grid", [(16, 16), (16.5, 16, 32), (16, 16, 32, 1), (0, 16, 32)])
+@pytest.mark.parametrize("grid", [(16, 16), (16.5, 16, 32), (16, 16, 32, 1), (0, 16, 32), 16])
 def test_phantom_rejects_a_grid_of_other_than_3_positive_integer_extents(grid):
     # these used to fail further in: an IndexError, numpy's TypeError, a
-    # failed unpack in kinetic_maps, or a tumor center "outside grid"
+    # failed unpack in kinetic_maps, a tumor center "outside grid", or a
+    # TypeError from len()
     with pytest.raises(DimensionError, match="phantom grid"):
         ph.PhantomSpec(grid=grid)
 
